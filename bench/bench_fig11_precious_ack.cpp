@@ -7,7 +7,7 @@
 #include "bench/common.h"
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "util/rng.h"
 
 using namespace hsr;
@@ -22,15 +22,14 @@ struct Outcome {
 
 Outcome run_round(bool keep_last_ack) {
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.tcp.receiver_window = 6;
-  cfg.tcp.delayed_ack_b = 1;
-  cfg.tcp.initial_cwnd = 6.0;
-  cfg.tcp.total_segments = 60;
-  cfg.downlink.rate_bps = 10e6;
-  cfg.downlink.prop_delay = util::Duration::millis(20);
-  cfg.uplink.rate_bps = 10e6;
-  cfg.uplink.prop_delay = util::Duration::millis(20);
+  tcp::TcpConfig tcfg;
+  tcfg.receiver_window = 6;
+  tcfg.delayed_ack_b = 1;
+  tcfg.initial_cwnd = 6.0;
+  tcfg.total_segments = 60;
+  net::LinkConfig link;  // both directions
+  link.rate_bps = 10e6;
+  link.prop_delay = util::Duration::millis(20);
 
   int ack_index = 0;
   auto up = std::make_unique<net::FunctionalChannel>(
@@ -43,8 +42,8 @@ Outcome run_round(bool keep_last_ack) {
       [](const net::Packet&, util::TimePoint) { return util::Duration::zero(); },
       util::Rng(1));
 
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                       std::move(up));
+  tcp::Bottleneck conn(sim, link, link);
+  conn.add_flow(1, tcfg, std::make_unique<net::PerfectChannel>(), std::move(up));
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(10));
   return Outcome{conn.sender().stats().timeouts,

@@ -10,7 +10,7 @@
 #include "bench/common.h"
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "util/rng.h"
 
 using namespace hsr;
@@ -21,15 +21,14 @@ namespace {
 // 1-based ACK index; return true to drop).
 void run_case(const char* title, std::function<bool(int)> drop_nth) {
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.tcp.receiver_window = 6;  // the 6-packet round of the paper's figure
-  cfg.tcp.delayed_ack_b = 1;    // paper: "if delayed ACKs are not used"
-  cfg.tcp.initial_cwnd = 6.0;
-  cfg.tcp.total_segments = 40;
-  cfg.downlink.rate_bps = 10e6;
-  cfg.downlink.prop_delay = util::Duration::millis(20);
-  cfg.uplink.rate_bps = 10e6;
-  cfg.uplink.prop_delay = util::Duration::millis(20);
+  tcp::TcpConfig tcfg;
+  tcfg.receiver_window = 6;  // the 6-packet round of the paper's figure
+  tcfg.delayed_ack_b = 1;    // paper: "if delayed ACKs are not used"
+  tcfg.initial_cwnd = 6.0;
+  tcfg.total_segments = 40;
+  net::LinkConfig link;  // both directions
+  link.rate_bps = 10e6;
+  link.prop_delay = util::Duration::millis(20);
 
   int ack_index = 0;
   auto up = std::make_unique<net::FunctionalChannel>(
@@ -39,8 +38,8 @@ void run_case(const char* title, std::function<bool(int)> drop_nth) {
       [](const net::Packet&, util::TimePoint) { return util::Duration::zero(); },
       util::Rng(1));
 
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                       std::move(up));
+  tcp::Bottleneck conn(sim, link, link);
+  conn.add_flow(1, tcfg, std::make_unique<net::PerfectChannel>(), std::move(up));
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(10));
 

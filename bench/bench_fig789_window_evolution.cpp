@@ -11,7 +11,7 @@
 #include "model/enhanced.h"
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "util/csv.h"
 #include "util/rng.h"
 
@@ -59,14 +59,14 @@ int main() {
 
   // --- Fig. 8: simulated cwnd trace with both loss indications ------------
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.tcp.receiver_window = 64;
-  cfg.downlink.rate_bps = 20e6;
-  cfg.downlink.prop_delay = util::Duration::millis(30);
-  cfg.uplink.rate_bps = 20e6;
-  cfg.uplink.prop_delay = util::Duration::millis(30);
-  tcp::Connection conn(
-      sim, 1, cfg, std::make_unique<net::BernoulliChannel>(0.004, util::Rng(5)),
+  tcp::TcpConfig tcfg;
+  tcfg.receiver_window = 64;
+  net::LinkConfig link;  // both directions
+  link.rate_bps = 20e6;
+  link.prop_delay = util::Duration::millis(30);
+  tcp::Bottleneck conn(sim, link, link);
+  conn.add_flow(
+      1, tcfg, std::make_unique<net::BernoulliChannel>(0.004, util::Rng(5)),
       std::make_unique<net::FunctionalChannel>(
           [](const net::Packet&, util::TimePoint now) {
             // Two ACK blackouts produce the timeout sequences of Fig. 8.

@@ -13,7 +13,7 @@
 #include "net/link.h"
 #include "radio/profiles.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "tcp/seq_window.h"
 #include "util/rng.h"
 #include "workload/scenario.h"
@@ -173,8 +173,9 @@ static void BM_LinkForwarding(benchmark::State& state) {
     net::LinkConfig cfg;
     cfg.rate_bps = 100e6;
     cfg.queue_capacity = 10000;
-    net::Link link(sim, cfg, std::make_unique<net::BernoulliChannel>(0.01, util::Rng(1)));
-    link.set_receiver([](const net::Packet&) {});
+    net::Link link(sim, cfg);
+    link.register_endpoint(0, std::make_unique<net::BernoulliChannel>(0.01, util::Rng(1)),
+                           [](const net::Packet&) {});
     for (int i = 0; i < 1000; ++i) {
       net::Packet p;
       p.id = net::allocate_packet_id();
@@ -190,13 +191,14 @@ BENCHMARK(BM_LinkForwarding);
 static void BM_TcpSecondOfSimulation(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
-    tcp::ConnectionConfig cfg;
-    cfg.tcp.receiver_window = 64;
-    cfg.downlink.rate_bps = 20e6;
-    cfg.uplink.rate_bps = 20e6;
-    tcp::Connection conn(sim, 1, cfg,
-                         std::make_unique<net::BernoulliChannel>(0.005, util::Rng(7)),
-                         std::make_unique<net::PerfectChannel>());
+    tcp::TcpConfig tcfg;
+    tcfg.receiver_window = 64;
+    net::LinkConfig link;  // both directions
+    link.rate_bps = 20e6;
+    tcp::Bottleneck conn(sim, link, link);
+    conn.add_flow(1, tcfg,
+                  std::make_unique<net::BernoulliChannel>(0.005, util::Rng(7)),
+                  std::make_unique<net::PerfectChannel>());
     conn.start();
     sim.run_until(util::TimePoint::from_seconds(1));
     benchmark::DoNotOptimize(conn.goodput_segments_per_s());

@@ -14,9 +14,10 @@
 
 #include "radio/profiles.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "trace/capture.h"
 #include "util/csv.h"
+#include "workload/multi_flow.h"
 #include "workload/scenario.h"
 
 using namespace hsr;
@@ -58,17 +59,11 @@ int main(int argc, char** argv) {
 
   workload::FlowRunConfig base;
   base.profile = profile;
-  tcp::ConnectionConfig cfg;
-  cfg.tcp = workload::tcp_config_for(base);
-  cfg.downlink.rate_bps = profile.downlink_rate_bps;
-  cfg.downlink.prop_delay = profile.core_delay;
-  cfg.downlink.queue_capacity = profile.queue_capacity;
-  cfg.uplink.rate_bps = profile.uplink_rate_bps;
-  cfg.uplink.prop_delay = profile.core_delay;
-
-  tcp::Connection conn(sim, 1, cfg,
-                       env.make_channel(radio::Direction::kDownlink, rng.fork("d")),
-                       env.make_channel(radio::Direction::kUplink, rng.fork("u")));
+  tcp::Bottleneck conn(sim, workload::downlink_config(profile),
+                       workload::uplink_config(profile));
+  conn.add_flow(1, workload::tcp_config_for(base),
+                env.make_channel(radio::Direction::kDownlink, rng.fork("d")),
+                env.make_channel(radio::Direction::kUplink, rng.fork("u")));
   conn.start();
 
   std::ofstream csv_file("btr_journey.csv");

@@ -13,7 +13,7 @@
 #include "fault/fault.h"
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "trace/capture.h"
 
 using namespace hsr;
@@ -24,15 +24,14 @@ void narrate(const char* title, fault::FaultPlan plan) {
   std::cout << "=== " << title << " ===\n";
 
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.tcp.receiver_window = 6;
-  cfg.tcp.delayed_ack_b = 1;
-  cfg.tcp.initial_cwnd = 6.0;
-  cfg.tcp.total_segments = 18;
-  cfg.downlink.rate_bps = 10e6;
-  cfg.downlink.prop_delay = util::Duration::millis(20);
-  cfg.uplink.rate_bps = 10e6;
-  cfg.uplink.prop_delay = util::Duration::millis(20);
+  tcp::TcpConfig tcfg;
+  tcfg.receiver_window = 6;
+  tcfg.delayed_ack_b = 1;
+  tcfg.initial_cwnd = 6.0;
+  tcfg.total_segments = 18;
+  net::LinkConfig link;  // both directions
+  link.rate_bps = 10e6;
+  link.prop_delay = util::Duration::millis(20);
 
   // Perfect channels everywhere; only the scripted plan kills packets, and
   // every kill is audited into the capture.
@@ -42,8 +41,8 @@ void narrate(const char* title, fault::FaultPlan plan) {
       std::move(plan), std::make_unique<net::PerfectChannel>());
   uplink->set_audit(&capture.faults, 'A');
 
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                       std::move(uplink));
+  tcp::Bottleneck conn(sim, link, link);
+  conn.add_flow(1, tcfg, std::make_unique<net::PerfectChannel>(), std::move(uplink));
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(6));
 

@@ -10,16 +10,10 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, net::FlowId flow_base,
   HSR_CHECK_MSG(paths.size() >= 2, "MPTCP needs at least two subflows");
 
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    auto sf = std::make_unique<Subflow>(sim, std::move(paths[i].downlink),
-                                        std::move(paths[i].uplink),
-                                        std::move(paths[i].down_channel),
-                                        std::move(paths[i].up_channel));
-    sf->index = static_cast<std::uint8_t>(i);
-    subflows_.push_back(std::move(sf));
-  }
-
-  for (std::size_t i = 0; i < subflows_.size(); ++i) {
-    Subflow& sf = *subflows_[i];
+    subflows_.push_back(std::make_unique<Subflow>(sim, std::move(paths[i].downlink),
+                                                  std::move(paths[i].uplink)));
+    Subflow& sf = *subflows_.back();
+    sf.index = static_cast<std::uint8_t>(i);
     const net::FlowId flow = flow_base + static_cast<net::FlowId>(i);
 
     tcp::TcpConfig sub_cfg = cfg_.subflow_tcp;
@@ -51,9 +45,14 @@ MptcpConnection::MptcpConnection(sim::Simulator& sim, net::FlowId flow_base,
                   "subflow timeout closure outgrew the TimeoutFn SBO");
     sf.sender->set_timeout_callback(std::move(timeout_cb));
 
-    sf.downlink.set_receiver(
+    // The meta scheduler sits between each subflow and its links in both
+    // directions, so the subflow attaches its own endpoints rather than
+    // going through tcp::Bottleneck.
+    sf.downlink.register_endpoint(
+        flow, std::move(paths[i].down_channel),
         [this, &sf](const net::Packet& p) { on_subflow_delivery(sf, p); });
-    sf.uplink.set_receiver([&sf](const net::Packet& p) { sf.sender->on_ack(p); });
+    sf.uplink.register_endpoint(flow, std::move(paths[i].up_channel),
+                                [&sf](const net::Packet& p) { sf.sender->on_ack(p); });
   }
 }
 

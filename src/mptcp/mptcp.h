@@ -98,11 +98,8 @@ class MptcpConnection {
     // Meta segments queued for this subflow ahead of fresh data (rescues).
     std::deque<SeqNo> pending_rescue;
 
-    Subflow(sim::Simulator& sim, net::LinkConfig down_cfg, net::LinkConfig up_cfg,
-            std::unique_ptr<net::ChannelModel> down_ch,
-            std::unique_ptr<net::ChannelModel> up_ch)
-        : downlink(sim, std::move(down_cfg), std::move(down_ch)),
-          uplink(sim, std::move(up_cfg), std::move(up_ch)) {}
+    Subflow(sim::Simulator& sim, net::LinkConfig down_cfg, net::LinkConfig up_cfg)
+        : downlink(sim, std::move(down_cfg)), uplink(sim, std::move(up_cfg)) {}
   };
 
   void on_subflow_transmit(Subflow& sf, net::Packet packet);

@@ -4,8 +4,9 @@
 // extra (non-queueing) delay it picks up, and how many duplicate copies the
 // channel injects.
 //
-// A Link owns exactly one ChannelModel for its direction; composite and
-// time-varying behaviour (the HSR radio) is built from these primitives.
+// Each flow's endpoint on a Link owns one ChannelModel for that direction;
+// composite and time-varying behaviour (the HSR radio) is built from these
+// primitives.
 #pragma once
 
 #include <array>
@@ -244,35 +245,6 @@ class CompositeChannel final : public ChannelModel {
 
  private:
   std::vector<std::unique_ptr<ChannelModel>> parts_;
-};
-
-// Routes each packet's fate decision to a per-flow channel, keyed by the
-// packet's FlowId — the shared-bottleneck building block. The Link keeps ONE
-// queue and transmitter for all flows; this demux gives every flow its own
-// "access stub" (its private radio randomness, fade state and scripted
-// faults) on the air segment. Verdicts pass through UNTOUCHED — no component
-// index is prepended — so a demux carrying a single flow is bit-identical to
-// using that flow's channel directly (the run_flow N=1 adapter relies on
-// this). Packets of unregistered flows go to the fallback channel, or are
-// delivered cleanly when no fallback is set.
-class FlowDemuxChannel final : public ChannelModel {
- public:
-  explicit FlowDemuxChannel(std::unique_ptr<ChannelModel> fallback = nullptr);
-
-  // Setup-time only (sorted registry, may reallocate). One channel per flow.
-  void add_flow(FlowId flow, std::unique_ptr<ChannelModel> channel);
-  bool has_flow(FlowId flow) const;
-  std::size_t flow_count() const { return channels_.size(); }
-
-  ChannelVerdict decide(const Packet& p, TimePoint now) override;
-
- private:
-  struct Route {
-    FlowId flow = 0;
-    std::unique_ptr<ChannelModel> channel;
-  };
-  std::vector<Route> channels_;  // sorted by flow id
-  std::unique_ptr<ChannelModel> fallback_;
 };
 
 // Adapts a pair of time-varying callables (drop probability, extra delay)

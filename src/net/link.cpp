@@ -6,12 +6,8 @@
 
 namespace hsr::net {
 
-Link::Link(sim::Simulator& sim, LinkConfig config, std::unique_ptr<ChannelModel> channel)
-    : sim_(sim),
-      config_(std::move(config)),
-      channel_(std::move(channel)),
-      departures_(config_.queue_capacity) {
-  HSR_CHECK(channel_ != nullptr);
+Link::Link(sim::Simulator& sim, LinkConfig config)
+    : sim_(sim), config_(std::move(config)), departures_(config_.queue_capacity) {
   HSR_CHECK(config_.rate_bps > 0.0);
   HSR_CHECK(config_.queue_capacity > 0);
 }
@@ -22,11 +18,14 @@ Duration Link::serialization_time(std::uint32_t bytes) const {
 }
 
 // Setup-time: the registry vector may grow here, never on the packet path.
-void Link::register_endpoint(FlowId flow, Receiver receiver, LinkTap* tap) {
-  HSR_CHECK_MSG(endpoint_for(flow) == nullptr,
-                "flow already has an endpoint on this link");
+void Link::register_endpoint(FlowId flow, std::unique_ptr<ChannelModel> channel,
+                             Receiver receiver, LinkTap* tap) {
+  HSR_CHECK_MSG(find(flow) == nullptr, "flow already has an endpoint on this link");
+  HSR_CHECK_MSG(channel != nullptr, "endpoint needs a channel");
+  HSR_CHECK_MSG(static_cast<bool>(receiver), "endpoint needs a receiver");
   Endpoint ep;
   ep.flow = flow;
+  ep.channel = std::move(channel);
   ep.receiver = std::move(receiver);
   ep.tap = tap;
   const auto pos = std::lower_bound(
@@ -36,7 +35,7 @@ void Link::register_endpoint(FlowId flow, Receiver receiver, LinkTap* tap) {
 }
 
 const LinkStats& Link::endpoint_stats(FlowId flow) const {
-  const Endpoint* ep = endpoint_for(flow);
+  const Endpoint* ep = find(flow);
   HSR_CHECK_MSG(ep != nullptr, "endpoint_stats for unregistered flow");
   return ep->stats;
 }
@@ -56,39 +55,37 @@ std::size_t Link::queue_depth() const {
   return departures_.size();
 }
 
-Link::Endpoint* Link::endpoint_for(FlowId flow) {
+const Link::Endpoint* Link::find(FlowId flow) const {
   const auto pos = std::lower_bound(
       endpoints_.begin(), endpoints_.end(), flow,
       [](const Endpoint& e, FlowId f) { return e.flow < f; });
   return pos != endpoints_.end() && pos->flow == flow ? &*pos : nullptr;
 }
 
-const Link::Endpoint* Link::endpoint_for(FlowId flow) const {
-  return const_cast<Link*>(this)->endpoint_for(flow);
+Link::Endpoint& Link::endpoint(FlowId flow) {
+  const Endpoint* ep = find(flow);
+  HSR_CHECK_MSG(ep != nullptr, "packet of a flow with no endpoint on this link");
+  return const_cast<Endpoint&>(*ep);
 }
 
-void Link::count_drop(const DropCause& cause, Endpoint* ep) {
+void Link::count_drop(const DropCause& cause, Endpoint& ep) {
   ++stats_.dropped_by_category[static_cast<std::size_t>(cause.category)];
-  if (ep != nullptr) {
-    ++ep->stats.dropped_by_category[static_cast<std::size_t>(cause.category)];
-  }
+  ++ep.stats.dropped_by_category[static_cast<std::size_t>(cause.category)];
 }
 
 void Link::send(Packet packet) {
   const TimePoint now = sim_.now();
   packet.sent_at = now;
-  Endpoint* ep = endpoint_for(packet.flow);
+  Endpoint& ep = endpoint(packet.flow);
   ++stats_.sent;
-  if (ep != nullptr) ++ep->stats.sent;
-  if (tap_ != nullptr) tap_->on_send(packet, now);
-  if (ep != nullptr && ep->tap != nullptr) ep->tap->on_send(packet, now);
+  ++ep.stats.sent;
+  if (ep.tap != nullptr) ep.tap->on_send(packet, now);
 
   prune_departures();
   if (departures_.size() >= config_.queue_capacity) {
     const DropCause cause = DropCause::queue_overflow();
     count_drop(cause, ep);
-    if (tap_ != nullptr) tap_->on_drop(packet, now, cause);
-    if (ep != nullptr && ep->tap != nullptr) ep->tap->on_drop(packet, now, cause);
+    if (ep.tap != nullptr) ep.tap->on_drop(packet, now, cause);
     return;
   }
 
@@ -100,15 +97,12 @@ void Link::send(Packet packet) {
   // Channel fate is evaluated at transmission time: the packet occupies the
   // queue/transmitter either way (it is corrupted on the air, not dropped
   // before entering the NIC).
-  const ChannelVerdict verdict = channel_->decide(packet, start);
+  const ChannelVerdict verdict = ep.channel->decide(packet, start);
   if (verdict.dropped) {
     HSR_DCHECK_MSG(verdict.cause.category != DropCategory::kUnknown,
                    "channel drop without cause attribution");
     count_drop(verdict.cause, ep);
-    if (tap_ != nullptr) tap_->on_drop(packet, start, verdict.cause);
-    if (ep != nullptr && ep->tap != nullptr) {
-      ep->tap->on_drop(packet, start, verdict.cause);
-    }
+    if (ep.tap != nullptr) ep.tap->on_drop(packet, start, verdict.cause);
     return;
   }
 
@@ -118,7 +112,7 @@ void Link::send(Packet packet) {
   // real path with a duplicating middlebox). Copies share the arrival time.
   const unsigned copies = 1 + verdict.duplicate_copies;
   stats_.injected_duplicates += copies - 1;
-  if (ep != nullptr) ep->stats.injected_duplicates += copies - 1;
+  ep.stats.injected_duplicates += copies - 1;
   for (unsigned c = 0; c + 1 < copies; ++c) {
     sim_.at(arrival, [this, packet] { deliver(packet); });
   }
@@ -135,22 +129,13 @@ void Link::send(Packet packet) {
 }
 
 void Link::deliver(const Packet& packet) {
-  Endpoint* ep = endpoint_for(packet.flow);
+  Endpoint& ep = endpoint(packet.flow);
   ++stats_.delivered;
   stats_.bytes_delivered += packet.size_bytes;
-  if (ep != nullptr) {
-    ++ep->stats.delivered;
-    ep->stats.bytes_delivered += packet.size_bytes;
-  }
-  if (tap_ != nullptr) tap_->on_deliver(packet, packet.sent_at, sim_.now());
-  if (ep != nullptr && ep->tap != nullptr) {
-    ep->tap->on_deliver(packet, packet.sent_at, sim_.now());
-  }
-  if (ep != nullptr && ep->receiver) {
-    ep->receiver(packet);
-  } else if (receiver_) {
-    receiver_(packet);
-  }
+  ++ep.stats.delivered;
+  ep.stats.bytes_delivered += packet.size_bytes;
+  if (ep.tap != nullptr) ep.tap->on_deliver(packet, packet.sent_at, sim_.now());
+  ep.receiver(packet);
 }
 // HSR_HOT_PATH_END
 

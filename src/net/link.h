@@ -1,8 +1,9 @@
 // A unidirectional link: serialization at a fixed rate, a DropTail queue,
-// fixed propagation delay, and a pluggable ChannelModel for loss and jitter.
+// fixed propagation delay, and per-flow endpoints, each with its own
+// pluggable ChannelModel for loss and jitter.
 //
 // Two links back-to-back (data direction + ACK direction) form the path a
-// TCP connection runs over.
+// TCP connection runs over (tcp::Bottleneck).
 #pragma once
 
 #include <array>
@@ -79,35 +80,31 @@ class Link {
  public:
   // Destination callback type: move-only, SBO. Endpoint receivers capture a
   // pointer or two; anything larger falls back to one heap allocation at
-  // set_receiver time (never on the per-packet delivery path).
+  // register_endpoint time (never on the per-packet delivery path).
   using Receiver = util::InlineFunction<void(const Packet&), 48>;
 
-  Link(sim::Simulator& sim, LinkConfig config, std::unique_ptr<ChannelModel> channel);
+  Link(sim::Simulator& sim, LinkConfig config);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Destination callback, invoked at the packet's arrival time.
-  void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
-  // Optional capture tap (non-owning; must outlive the link).
-  void set_tap(LinkTap* tap) { tap_ = tap; }
-
-  // --- Demuxed endpoint registry (shared-bottleneck links) -----------------
+  // --- Per-flow endpoints --------------------------------------------------
   //
-  // One link can multiplex several flows through its single DropTail queue
-  // and transmitter: each flow registers an endpoint — its own Receiver,
-  // optional capture tap, and a per-flow LinkStats breakdown — keyed by the
-  // packet's FlowId. Packets of registered flows are accounted in BOTH the
-  // aggregate stats() and the flow's endpoint_stats() (drops included, so
-  // queue-overflow attribution is per-flow), the aggregate tap fires first
-  // and then the flow's tap, and delivery goes to the flow's receiver.
-  // Packets of unregistered flows fall back to the aggregate receiver.
+  // Every packet reaches its destination through the endpoint registered for
+  // its FlowId: the flow's channel (its private loss, delay and scripted
+  // faults on the air), its Receiver, an optional capture tap, and a
+  // per-flow LinkStats breakdown. All flows share the link's ONE DropTail
+  // queue and transmitter. Packets are accounted in both the aggregate
+  // stats() and the flow's endpoint_stats() (drops included, so
+  // queue-overflow attribution is per-flow). Sending a packet of a flow
+  // without an endpoint is a CHECK failure.
   //
   // Registration is a setup-time operation (the registry is a sorted vector
   // and may reallocate); it must happen before packets of that flow are
   // offered. The per-packet lookup is a binary search — no allocation.
-  void register_endpoint(FlowId flow, Receiver receiver, LinkTap* tap = nullptr);
-  bool has_endpoint(FlowId flow) const { return endpoint_for(flow) != nullptr; }
+  void register_endpoint(FlowId flow, std::unique_ptr<ChannelModel> channel,
+                         Receiver receiver, LinkTap* tap = nullptr);
+  bool has_endpoint(FlowId flow) const { return find(flow) != nullptr; }
   std::size_t endpoint_count() const { return endpoints_.size(); }
   // This flow's share of the aggregate stats(). CHECK-fails for flows that
   // never registered.
@@ -118,7 +115,6 @@ class Link {
 
   const LinkStats& stats() const { return stats_; }
   const LinkConfig& config() const { return config_; }
-  ChannelModel& channel() { return *channel_; }
 
   // Instantaneous queue depth (packets still waiting to finish serialization).
   std::size_t queue_depth() const;
@@ -126,6 +122,7 @@ class Link {
  private:
   struct Endpoint {
     FlowId flow = 0;
+    std::unique_ptr<ChannelModel> channel;
     Receiver receiver;
     LinkTap* tap = nullptr;
     LinkStats stats;
@@ -133,19 +130,17 @@ class Link {
 
   Duration serialization_time(std::uint32_t bytes) const;
   void prune_departures() const;
-  void count_drop(const DropCause& cause, Endpoint* ep);
+  void count_drop(const DropCause& cause, Endpoint& ep);
   // Arrival-time bookkeeping + tap + receiver hand-off. Runs at the
   // packet's arrival instant, so sim.now() IS the arrival time.
   void deliver(const Packet& packet);
   // Binary search over the sorted registry; nullptr for unregistered flows.
-  Endpoint* endpoint_for(FlowId flow);
-  const Endpoint* endpoint_for(FlowId flow) const;
+  const Endpoint* find(FlowId flow) const;
+  // The packet path's lookup: CHECK-fails for unregistered flows.
+  Endpoint& endpoint(FlowId flow);
 
   sim::Simulator& sim_;
   LinkConfig config_;
-  std::unique_ptr<ChannelModel> channel_;
-  Receiver receiver_;
-  LinkTap* tap_ = nullptr;
   LinkStats stats_;
   std::vector<Endpoint> endpoints_;  // sorted by flow id
 

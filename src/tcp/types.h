@@ -19,8 +19,8 @@ using util::Duration;
 using util::TimePoint;
 
 // Endpoint callback types: move-only small-buffer callables, matching
-// sim::EventAction and net::Link::Receiver instead of std::function. Every
-// production wiring (Connection, run_multi_flow, MPTCP subflows) captures at
+// sim::EventAction and net::Link::Receiver instead of std::function. Both
+// production wirings (tcp::Bottleneck and MPTCP subflows) capture at
 // most two pointers, which the 48-byte inline buffer holds without touching
 // the heap — static_asserted at each call site. An oversized capture
 // (test-only convenience) degrades to ONE construction-time allocation,

@@ -3,6 +3,7 @@
 #include "trace/trace_io.h"
 #include "util/crc32c.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -19,9 +20,13 @@ using net::DropCategory;
 constexpr char kFlowFrame = 'F';
 constexpr char kQuarantineFrame = 'Q';
 // One frame is one flow (or one quarantine record); anything claiming to be
-// larger than this is corruption, not data, and must not drive a giant
-// allocation in the reader.
+// larger than this is corruption, not data.
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 36;  // 64 GiB
+// The reader fills a frame's payload in chunks that double from the first
+// size up to the second, so its buffer grows with the bytes that actually
+// arrived, not with the frame's claimed size.
+constexpr std::size_t kMinReadChunk = std::size_t{4} << 10;  // 4 KiB
+constexpr std::size_t kMaxReadChunk = std::size_t{1} << 20;  // 1 MiB
 // Ids are dense per flow (net::reset_packet_ids runs at flow start), so an
 // id beyond this bound is a decode gone off the rails; rejecting it keeps a
 // corrupt column from resizing the id index into oblivion.
@@ -529,15 +534,26 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   if (payload_size > kMaxFramePayload) {
     return frame_error(frame_index, "implausible frame size (corrupt archive)");
   }
-  payload_.resize(static_cast<std::size_t>(payload_size));
-  is_.read(payload_.data(), static_cast<std::streamsize>(payload_size));
-  if (is_.gcount() != static_cast<std::streamsize>(payload_size)) {
-    // The writer died (or the copy was cut) mid-frame: drop the torn tail,
-    // keep everything before it — same contract as the text reader's
-    // torn-final-line tolerance.
-    torn_ = true;
-    return Frame::kTorn;
+  // Grow the buffer only as bytes arrive: a size field that claims more
+  // than the stream holds (one flipped bit can claim gigabytes) costs about
+  // the bytes present plus one chunk (twice that at most, with the string's
+  // geometric growth), never the claimed size.
+  std::size_t have = 0;
+  while (have < payload_size) {
+    const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
+        payload_size - have, std::clamp(have, kMinReadChunk, kMaxReadChunk)));
+    if (payload_.size() < have + chunk) payload_.resize(have + chunk);
+    is_.read(payload_.data() + have, static_cast<std::streamsize>(chunk));
+    if (is_.gcount() != static_cast<std::streamsize>(chunk)) {
+      // The writer died (or the copy was cut) mid-frame: drop the torn
+      // tail, keep everything before it — same contract as the text
+      // reader's torn-final-line tolerance.
+      torn_ = true;
+      return Frame::kTorn;
+    }
+    have += chunk;
   }
+  payload_.resize(have);
 
   if (version_ != 1) {
     std::uint32_t crc = util::crc32c(0, &type, 1);

@@ -7,8 +7,7 @@
 #include "net/channel.h"
 #include "radio/environment.h"
 #include "sim/simulator.h"
-#include "tcp/receiver.h"
-#include "tcp/sender.h"
+#include "tcp/bottleneck.h"
 #include "util/alloc_probe.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -16,9 +15,7 @@
 
 namespace hsr::workload {
 
-namespace {
-
-net::LinkConfig downlink_config_for(const radio::ProviderProfile& p) {
+net::LinkConfig downlink_config(const radio::ProviderProfile& p) {
   net::LinkConfig cfg;
   cfg.rate_bps = p.downlink_rate_bps;
   cfg.prop_delay = p.core_delay;
@@ -27,7 +24,7 @@ net::LinkConfig downlink_config_for(const radio::ProviderProfile& p) {
   return cfg;
 }
 
-net::LinkConfig uplink_config_for(const radio::ProviderProfile& p) {
+net::LinkConfig uplink_config(const radio::ProviderProfile& p) {
   net::LinkConfig cfg;
   cfg.rate_bps = p.uplink_rate_bps;
   cfg.prop_delay = p.core_delay;
@@ -35,15 +32,6 @@ net::LinkConfig uplink_config_for(const radio::ProviderProfile& p) {
   cfg.name = p.name + "/up";
   return cfg;
 }
-
-// One flow's TCP endpoints. Heap-owned so the registered Link receivers can
-// capture a stable raw pointer (the vector of stacks may move around).
-struct FlowStack {
-  std::unique_ptr<tcp::TcpReceiver> receiver;
-  std::unique_ptr<tcp::TcpSender> sender;
-};
-
-}  // namespace
 
 MultiFlowSenderSpec MultiFlowSpec::resolved_sender(unsigned i) const {
   if (!senders.empty()) {
@@ -72,8 +60,7 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
   // exactly what makes handoff-burst fairness interesting).
   radio::RadioEnvironment env(spec.profile.radio, rng.fork("radio"));
 
-  const net::LinkConfig down_cfg = downlink_config_for(spec.profile);
-  const net::LinkConfig up_cfg = uplink_config_for(spec.profile);
+  const net::LinkConfig down_cfg = downlink_config(spec.profile);
 
   MultiFlowResult out;
   out.duration = spec.duration;
@@ -84,14 +71,16 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
   resolved.reserve(n);
   for (unsigned i = 0; i < n; ++i) resolved.push_back(spec.resolved_sender(i));
 
-  // Per-flow access stubs behind one shared queue: each flow's channel pair
-  // draws from its own fork of the scenario seed and carries its own
-  // scripted faults. Flow 0 keeps the legacy single-flow fork labels
-  // ("chan-down"/"chan-up", no index), which is what makes the run_flow
-  // N=1 adapter byte-identical to the historical single-flow path — note
-  // fork(label) and fork(label, 0) are DIFFERENT streams.
-  auto down_demux = std::make_unique<net::FlowDemuxChannel>();
-  auto up_demux = std::make_unique<net::FlowDemuxChannel>();
+  // The shared bottleneck pair: ONE DropTail queue and transmitter per
+  // direction, multiplexing every flow.
+  tcp::Bottleneck bottleneck(sim, down_cfg, uplink_config(spec.profile));
+
+  // Peak pending-event estimate for the queue pre-size: every in-flight
+  // data segment and every in-flight ACK carries one scheduled delivery
+  // event (bounded per flow by the receiver window), plus each flow's RTO
+  // and delayed-ACK timers and a margin for link-serialization and radio
+  // bookkeeping events.
+  std::size_t expected_pending = 128;
   for (unsigned i = 0; i < n; ++i) {
     const net::FlowId flow = i + 1;
     trace::FlowCapture& capture = out.captures[i];
@@ -99,9 +88,8 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     // Pre-size for this flow's fair share of the bottleneck so steady-state
     // recording never reallocates mid-simulation (an over-estimate for
     // unfair flows is harmless — reserve_for clamps).
-    capture.reserve_for(spec.duration,
-                        down_cfg.rate_bps / static_cast<double>(n),
-                        resolved[i].tcp.mss_bytes);
+    const double share = down_cfg.rate_bps / static_cast<double>(n);
+    capture.reserve_for(spec.duration, share, resolved[i].tcp.mss_bytes);
     // All flows draw packet ids from ONE shared counter, so every flow's
     // id→index table spans the whole scenario's traffic — data sends plus
     // ACKs, bounded by 2x the saturated-link segment count — not just this
@@ -118,6 +106,12 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
         2 * trace::FlowCapture::kMinReserveTx,
         4 * trace::FlowCapture::kMaxReserveTx));
 
+    // Per-flow access stubs behind the shared queue: each flow's channel
+    // pair draws from its own fork of the scenario seed and carries its own
+    // scripted faults. Flow 0 keeps the legacy single-flow fork labels
+    // ("chan-down"/"chan-up", no index), which is what keeps run_flow's
+    // captures byte-identical to the historical single-flow path — note
+    // fork(label) and fork(label, 0) are DIFFERENT streams.
     std::unique_ptr<net::ChannelModel> down = env.make_channel(
         radio::Direction::kDownlink,
         i == 0 ? rng.fork("chan-down") : rng.fork("chan-down", i));
@@ -144,63 +138,17 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
       injector->set_audit(&capture.faults, 'A');
       up = std::move(injector);
     }
-    down_demux->add_flow(flow, std::move(down));
-    up_demux->add_flow(flow, std::move(up));
-  }
 
-  // The shared bottleneck pair: ONE DropTail queue and transmitter per
-  // direction, multiplexing every flow.
-  net::Link downlink(sim, down_cfg, std::move(down_demux));
-  net::Link uplink(sim, up_cfg, std::move(up_demux));
-
-  std::vector<FlowStack> stacks(n);
-  // Peak pending-event estimate for the queue pre-size: every in-flight
-  // data segment and every in-flight ACK carries one scheduled delivery
-  // event (bounded per flow by the receiver window), plus each flow's RTO
-  // and delayed-ACK timers and a margin for link-serialization and radio
-  // bookkeeping events.
-  std::size_t expected_pending = 128;
-  for (unsigned i = 0; i < n; ++i) {
-    const net::FlowId flow = i + 1;
     const tcp::TcpConfig tcfg = tcp::make_tcp_config(
         resolved[i].tcp, spec.profile.receiver_window_segments);
     expected_pending += 2 * static_cast<std::size_t>(tcfg.receiver_window) + 8;
-    HSR_CHECK_MSG(tcfg.delayed_ack_b >= 1, "delayed_ack_b must be >= 1");
-    auto ack_tx = [&uplink](net::Packet p) { uplink.send(std::move(p)); };
-    static_assert(tcp::PacketSendFn::holds_inline<decltype(ack_tx)>(),
-                  "ACK send closure outgrew the PacketSendFn SBO");
-    stacks[i].receiver =
-        std::make_unique<tcp::TcpReceiver>(sim, tcfg, flow, std::move(ack_tx));
-    auto data_tx = [&downlink](net::Packet p) { downlink.send(std::move(p)); };
-    static_assert(tcp::PacketSendFn::holds_inline<decltype(data_tx)>(),
-                  "data send closure outgrew the PacketSendFn SBO");
-    stacks[i].sender =
-        std::make_unique<tcp::TcpSender>(sim, tcfg, flow, std::move(data_tx));
-
+    bottleneck.add_flow(flow, tcfg, std::move(down), std::move(up), &capture.data,
+                        &capture.acks);
     // Pre-size the endpoints' diagnostic series for this flow's fair share
     // of the bottleneck — same contract as the capture reserve above: no
     // vector growth once the flow reaches steady state.
-    const double share = down_cfg.rate_bps / static_cast<double>(n);
-    stacks[i].sender->reserve_for(spec.duration, share);
-    stacks[i].receiver->reserve_for(spec.duration, share);
-
-    // Per-flow demux endpoints. The closures must stay inside the Receiver
-    // SBO: a heap fallback here would put an allocation on every delivery.
-    auto data_endpoint = [r = stacks[i].receiver.get()](const net::Packet& p) {
-      r->on_data(p);
-    };
-    static_assert(net::Link::Receiver::holds_inline<decltype(data_endpoint)>(),
-                  "demux data endpoint outgrew the Link::Receiver SBO; "
-                  "per-packet delivery would heap-allocate");
-    downlink.register_endpoint(flow, std::move(data_endpoint), &out.captures[i].data);
-
-    auto ack_endpoint = [s = stacks[i].sender.get()](const net::Packet& p) {
-      s->on_ack(p);
-    };
-    static_assert(net::Link::Receiver::holds_inline<decltype(ack_endpoint)>(),
-                  "demux ACK endpoint outgrew the Link::Receiver SBO; "
-                  "per-packet delivery would heap-allocate");
-    uplink.register_endpoint(flow, std::move(ack_endpoint), &out.captures[i].acks);
+    bottleneck.sender(i).reserve_for(spec.duration, share);
+    bottleneck.receiver(i).reserve_for(spec.duration, share);
   }
   sim.reserve_events(expected_pending);
 
@@ -208,7 +156,7 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
   // event loop (exactly like the legacy single-flow path), later arrivals
   // are scheduled into the simulation.
   for (unsigned i = 0; i < n; ++i) {
-    tcp::TcpSender* sender = stacks[i].sender.get();
+    tcp::TcpSender* sender = &bottleneck.sender(i);
     if (resolved[i].start_offset.ns() <= 0) {
       sender->start();
     } else {
@@ -246,36 +194,28 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
         " s); flow aborted");
   }
 
-  const double elapsed = sim.now().to_seconds();
   out.handoffs = env.handoff_count(sim.now());
   out.sim_events = sim.events_executed();
   out.sim_scheduled = sim.queue().scheduled_total();
   out.sim_tombstones = sim.queue().pruned_tombstones_total() +
                        sim.queue().tombstones_in_heap();
-  out.downlink_aggregate = downlink.stats();
-  out.uplink_aggregate = uplink.stats();
+  out.downlink_aggregate = bottleneck.downlink().stats();
+  out.uplink_aggregate = bottleneck.uplink().stats();
 
   for (unsigned i = 0; i < n; ++i) {
     MultiFlowFlowResult& f = out.flows[i];
     f.flow = i + 1;
     f.start_offset = resolved[i].start_offset;
-    f.sender_stats = stacks[i].sender->stats();
-    f.receiver_stats = stacks[i].receiver->stats();
-    f.events = stacks[i].sender->events();
-    f.cwnd_trace = stacks[i].sender->cwnd_trace();
-    f.delivery_times = stacks[i].receiver->delivery_times();
-    // Application goodput over [0, now] — same definition as the single-flow
-    // path, and the numerator the fairness shares are computed from.
-    HSR_DCHECK_MSG(f.receiver_stats.unique_segments <= f.sender_stats.segments_sent,
-                   "receiver delivered more unique segments than were sent");
-    f.goodput_pps = elapsed > 0.0
-                        ? static_cast<double>(f.receiver_stats.unique_segments) / elapsed
-                        : 0.0;
-    f.goodput_bps =
-        f.goodput_pps * static_cast<double>(resolved[i].tcp.mss_bytes) * 8.0;
+    f.sender_stats = bottleneck.sender(i).stats();
+    f.receiver_stats = bottleneck.receiver(i).stats();
+    f.events = bottleneck.sender(i).events();
+    f.cwnd_trace = bottleneck.sender(i).cwnd_trace();
+    f.delivery_times = bottleneck.receiver(i).delivery_times();
+    f.goodput_pps = bottleneck.goodput_segments_per_s(i);
+    f.goodput_bps = bottleneck.goodput_bps(i);
     f.faults_injected = out.captures[i].faults.size();
-    f.downlink_stats = downlink.endpoint_stats(f.flow);
-    f.uplink_stats = uplink.endpoint_stats(f.flow);
+    f.downlink_stats = bottleneck.downlink_stats(i);
+    f.uplink_stats = bottleneck.uplink_stats(i);
     for (const auto& tx : out.captures[i].data.transmissions()) {
       f.bytes_captured += tx.packet.size_bytes;
     }

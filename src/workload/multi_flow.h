@@ -1,9 +1,9 @@
 // Shared-bottleneck multi-flow scenarios: N concurrent TCP senders pushing
-// through ONE bottleneck link pair — the cell every passenger's flow shares.
-// One real DropTail queue multiplexes all flows (net::Link's demuxed
-// endpoint registry), each flow keeps its own TCP state, its own capture,
-// its own "access stub" channel (private radio randomness and scripted
-// faults, via net::FlowDemuxChannel), and its own per-flow LinkStats
+// through ONE bottleneck link pair (tcp::Bottleneck) — the cell every
+// passenger's flow shares. One real DropTail queue multiplexes all flows,
+// each flow keeps its own TCP state, its own capture, its own "access stub"
+// channel pair (private radio randomness and scripted faults, registered
+// as the flow's net::Link endpoint), and its own per-flow LinkStats
 // breakdown of the shared queue — so fairness and queue-overflow
 // attribution are measurable per flow.
 //
@@ -28,6 +28,11 @@ namespace hsr::workload {
 
 using util::Duration;
 using util::TimePoint;
+
+// The bottleneck links of a provider profile: data (downlink) and ACK
+// (uplink) direction. Every scenario that runs over a profile uses these.
+net::LinkConfig downlink_config(const radio::ProviderProfile& profile);
+net::LinkConfig uplink_config(const radio::ProviderProfile& profile);
 
 // Per-sender knobs of one flow in a shared-bottleneck scenario.
 struct MultiFlowSenderSpec {

@@ -1,36 +1,15 @@
 #include "workload/scenario.h"
 
-#include <functional>
 #include <memory>
 
 #include "sim/simulator.h"
+#include "tcp/bottleneck.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/multi_flow.h"
 
 namespace hsr::workload {
-
-namespace {
-
-net::LinkConfig downlink_config(const radio::ProviderProfile& p) {
-  net::LinkConfig cfg;
-  cfg.rate_bps = p.downlink_rate_bps;
-  cfg.prop_delay = p.core_delay;
-  cfg.queue_capacity = p.queue_capacity;
-  cfg.name = p.name + "/down";
-  return cfg;
-}
-
-net::LinkConfig uplink_config(const radio::ProviderProfile& p) {
-  net::LinkConfig cfg;
-  cfg.rate_bps = p.uplink_rate_bps;
-  cfg.prop_delay = p.core_delay;
-  cfg.queue_capacity = 64;
-  cfg.name = p.name + "/up";
-  return cfg;
-}
-
-}  // namespace
 
 tcp::TcpConfig tcp_config_for(const FlowRunConfig& cfg) {
   return tcp::make_tcp_config(cfg.tcp, cfg.profile.receiver_window_segments);
@@ -142,41 +121,36 @@ namespace {
 // then are scored at the cap (a conservative underestimate of the gain).
 constexpr double kTransferCapSeconds = 1800.0;
 
-// Runs the simulator until `done()` or the cap; returns elapsed seconds.
-double run_until_done(sim::Simulator& sim, const std::function<bool()>& done) {
-  double t = 0.0;
-  while (t < kTransferCapSeconds && !done()) {
-    t += 0.5;
-    sim.run_until(TimePoint::from_seconds(t));
-  }
-  return t;
-}
-
 // One fixed-size transfer over a fresh environment: `segments` segments at
 // `rng_seed`, returning segments/completion-time. The building block of both
 // the single comparison and the sharded sweep — entirely self-contained, so
 // any worker thread can run it for any (profile, segments, seed) triple.
 double fixed_transfer_rate(const radio::ProviderProfile& profile,
                            std::uint64_t segments, std::uint64_t rng_seed) {
+  HSR_CHECK_MSG(segments > 0, "fixed transfer of zero segments");
   net::reset_packet_ids();
   FlowRunConfig fc;
   fc.profile = profile;
+  tcp::TcpConfig tcfg = tcp_config_for(fc);
+  tcfg.total_segments = segments;
 
   sim::Simulator sim;
   util::Rng rng(rng_seed);
   radio::RadioEnvironment env(profile.radio, rng.fork("radio"));
-  tcp::ConnectionConfig cfg;
-  cfg.tcp = tcp_config_for(fc);
-  cfg.tcp.total_segments = segments;
-  cfg.downlink = downlink_config(profile);
-  cfg.uplink = uplink_config(profile);
-  tcp::Connection conn(sim, 1, cfg,
-                       env.make_channel(radio::Direction::kDownlink, rng.fork("d")),
-                       env.make_channel(radio::Direction::kUplink, rng.fork("u")));
-  conn.start();
-  const double t = run_until_done(
-      sim, [&] { return conn.receiver().stats().unique_segments >= segments; });
-  return static_cast<double>(segments) / t;
+  tcp::Bottleneck path(sim, downlink_config(profile), uplink_config(profile));
+  path.add_flow(1, tcfg, env.make_channel(radio::Direction::kDownlink, rng.fork("d")),
+                env.make_channel(radio::Direction::kUplink, rng.fork("u")));
+  path.start();
+  // Runs until the finished transfer's last events drain the queue, or the cap.
+  sim.run_until(TimePoint::from_seconds(kTransferCapSeconds));
+
+  // Completion is the virtual time at which the receiver first holds every
+  // segment: the arrival of its `segments`-th unique segment.
+  const std::vector<TimePoint>& arrivals = path.receiver().delivery_times();
+  const double completion_s = arrivals.size() >= segments
+                                  ? arrivals[segments - 1].to_seconds()
+                                  : kTransferCapSeconds;
+  return static_cast<double>(segments) / completion_s;
 }
 
 // Seed of the i-th small flow (i in {0, 1}) of a comparison at `seed`.

@@ -11,7 +11,7 @@
 #include "fault/fault.h"
 #include "mptcp/mptcp.h"
 #include "radio/profiles.h"
-#include "tcp/connection.h"
+#include "tcp/types.h"
 #include "trace/capture.h"
 #include "util/status.h"
 #include "util/time.h"

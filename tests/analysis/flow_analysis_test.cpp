@@ -6,7 +6,7 @@
 
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "util/rng.h"
 
 namespace hsr::analysis {
@@ -267,12 +267,11 @@ TEST(GroundTruthAgreementTest, TimeoutCountMatchesStackEvents) {
   // must reconstruct the same number of RTO events the stack logged, and
   // classify them as spurious (all data arrived).
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.tcp.receiver_window = 64;
-  cfg.downlink.rate_bps = 10e6;
-  cfg.downlink.prop_delay = Duration::millis(20);
-  cfg.uplink.rate_bps = 10e6;
-  cfg.uplink.prop_delay = Duration::millis(20);
+  tcp::TcpConfig tcfg;
+  tcfg.receiver_window = 64;
+  net::LinkConfig link;  // both directions
+  link.rate_bps = 10e6;
+  link.prop_delay = Duration::millis(20);
   auto blackout = std::make_unique<net::FunctionalChannel>(
       [](const net::Packet&, TimePoint now) {
         return (now >= TimePoint::from_seconds(5.0) &&
@@ -282,11 +281,10 @@ TEST(GroundTruthAgreementTest, TimeoutCountMatchesStackEvents) {
       },
       [](const net::Packet&, TimePoint) { return Duration::zero(); },
       util::Rng(1));
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                       std::move(blackout));
   trace::FlowCapture cap;
-  conn.set_downlink_tap(&cap.data);
-  conn.set_uplink_tap(&cap.acks);
+  tcp::Bottleneck conn(sim, link, link);
+  conn.add_flow(1, tcfg, std::make_unique<net::PerfectChannel>(), std::move(blackout),
+                &cap.data, &cap.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(20));
 

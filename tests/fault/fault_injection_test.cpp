@@ -14,10 +14,11 @@
 #include "analysis/flow_analysis.h"
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "trace/capture.h"
 #include "trace/trace_io.h"
 #include "util/rng.h"
+#include "workload/manifest.h"
 
 namespace hsr::fault {
 namespace {
@@ -153,10 +154,11 @@ TEST(FaultInjectorTest, DuplicatesCountTowardLinkStats) {
   net::LinkConfig cfg;
   cfg.rate_bps = 10e6;
   cfg.prop_delay = Duration::millis(5);
-  net::Link link(sim, cfg,
-                 std::make_unique<FaultInjector>(plan, std::make_unique<PerfectChannel>()));
+  net::Link link(sim, cfg);
   unsigned arrivals = 0;
-  link.set_receiver([&arrivals](const Packet&) { ++arrivals; });
+  link.register_endpoint(
+      0, std::make_unique<FaultInjector>(plan, std::make_unique<PerfectChannel>()),
+      [&arrivals](const Packet&) { ++arrivals; });
 
   for (net::SeqNo s = 1; s <= 5; ++s) link.send(data_packet(s));
   sim.run_until(TimePoint::from_seconds(1));
@@ -193,17 +195,21 @@ TEST(FaultInjectorTest, SparedPacketsStillSeeInnerChannel) {
 
 // --- The paper's mechanism, scripted ------------------------------------------
 
-tcp::ConnectionConfig small_round_config() {
-  tcp::ConnectionConfig cfg;
-  cfg.tcp.receiver_window = 6;
-  cfg.tcp.delayed_ack_b = 1;
-  cfg.tcp.initial_cwnd = 6.0;
-  cfg.tcp.total_segments = 18;
-  cfg.downlink.rate_bps = 10e6;
-  cfg.downlink.prop_delay = Duration::millis(20);
-  cfg.uplink.rate_bps = 10e6;
-  cfg.uplink.prop_delay = Duration::millis(20);
+tcp::TcpConfig small_round_config() {
+  tcp::TcpConfig cfg;
+  cfg.receiver_window = 6;
+  cfg.delayed_ack_b = 1;
+  cfg.initial_cwnd = 6.0;
+  cfg.total_segments = 18;
   return cfg;
+}
+
+// Both directions of the scripted-round path: 10 Mbit/s, 20 ms one-way.
+net::LinkConfig small_round_link() {
+  net::LinkConfig link;
+  link.rate_bps = 10e6;
+  link.prop_delay = Duration::millis(20);
+  return link;
 }
 
 // Runs the scripted ACK-burst-kill scenario and returns the serialized
@@ -229,10 +235,9 @@ SpuriousRun run_scripted_spurious() {
       std::make_unique<FaultInjector>(plan, std::make_unique<PerfectChannel>());
   injector->set_audit(&capture.faults, 'A');
 
-  tcp::Connection conn(sim, 1, small_round_config(),
-                       std::make_unique<PerfectChannel>(), std::move(injector));
-  conn.set_downlink_tap(&capture.data);
-  conn.set_uplink_tap(&capture.acks);
+  tcp::Bottleneck conn(sim, small_round_link(), small_round_link());
+  conn.add_flow(1, small_round_config(), std::make_unique<PerfectChannel>(),
+                std::move(injector), &capture.data, &capture.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(6));
 
@@ -268,6 +273,14 @@ TEST(ScriptedSpuriousTimeoutTest, ByteIdenticalAcrossRuns) {
       << "audit records missing from the serialized capture";
 }
 
+TEST(ScriptedSpuriousTimeoutTest, GoldenDigestUnchanged) {
+  // A change to how a flow is wired to its links must leave the captured
+  // bytes (FNV-1a over the serialized capture) unchanged.
+  const SpuriousRun run = run_scripted_spurious();
+  EXPECT_EQ(run.serialized.size(), 1610u);
+  EXPECT_EQ(workload::manifest_digest(run.serialized), 0x248c5aa0397511eaULL);
+}
+
 TEST(ScriptedRecoveryStallTest, RetransmissionDropsPinQ) {
   // Lose segment 10's first copy, then the next two retransmissions: the
   // recovery stalls exactly as the paper's q parameter describes, and the
@@ -282,12 +295,11 @@ TEST(ScriptedRecoveryStallTest, RetransmissionDropsPinQ) {
       std::make_unique<FaultInjector>(plan, std::make_unique<PerfectChannel>());
   injector->set_audit(&capture.faults, 'D');
 
-  tcp::ConnectionConfig cfg = small_round_config();
-  cfg.tcp.total_segments = UINT64_MAX;  // unbounded flow
-  tcp::Connection conn(sim, 1, cfg, std::move(injector),
-                       std::make_unique<PerfectChannel>());
-  conn.set_downlink_tap(&capture.data);
-  conn.set_uplink_tap(&capture.acks);
+  tcp::TcpConfig cfg = small_round_config();
+  cfg.total_segments = UINT64_MAX;  // unbounded flow
+  tcp::Bottleneck conn(sim, small_round_link(), small_round_link());
+  conn.add_flow(1, cfg, std::move(injector), std::make_unique<PerfectChannel>(),
+                &capture.data, &capture.acks);
   conn.start();
   sim.run_until(TimePoint::from_seconds(20));
 

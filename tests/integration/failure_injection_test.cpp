@@ -7,7 +7,7 @@
 
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "util/rng.h"
 
 namespace hsr {
@@ -20,8 +20,15 @@ using util::Duration;
 using util::Rng;
 using util::TimePoint;
 
-tcp::ConnectionConfig base_config() {
-  tcp::ConnectionConfig cfg;
+// One TCP flow's protocol knobs and the link pair it runs over.
+struct PathSetup {
+  tcp::TcpConfig tcp;
+  net::LinkConfig downlink;
+  net::LinkConfig uplink;
+};
+
+PathSetup base_config() {
+  PathSetup cfg;
   cfg.tcp.receiver_window = 64;
   cfg.downlink.rate_bps = 10e6;
   cfg.downlink.prop_delay = Duration::millis(20);
@@ -45,8 +52,9 @@ TEST(FailureInjectionTest, SurvivesMinuteLongTotalBlackout) {
   // Both directions dead for a full minute: the sender must back off to the
   // 64T cap, stay alive, and resume afterwards.
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
-  tcp::Connection conn(sim, 1, cfg, window_blackout(5, 65), window_blackout(5, 65));
+  PathSetup cfg = base_config();
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, window_blackout(5, 65), window_blackout(5, 65));
   conn.start();
   sim.run_until(TimePoint::from_seconds(120));
 
@@ -69,7 +77,9 @@ TEST(FailureInjectionTest, SurvivesRepeatedShortBlackouts) {
         },
         [](const Packet&, TimePoint) { return Duration::zero(); }, Rng(1));
   };
-  tcp::Connection conn(sim, 1, base_config(), flicker(), flicker());
+  const PathSetup cfg = base_config();
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, flicker(), flicker());
   conn.start();
   sim.run_until(TimePoint::from_seconds(60));
   EXPECT_GE(conn.sender().stats().timeouts, 3u);
@@ -78,10 +88,11 @@ TEST(FailureInjectionTest, SurvivesRepeatedShortBlackouts) {
 
 TEST(FailureInjectionTest, SurvivesHeavyRandomLossBothDirections) {
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
-  tcp::Connection conn(sim, 1, cfg,
-                       std::make_unique<net::BernoulliChannel>(0.15, Rng(3)),
-                       std::make_unique<net::BernoulliChannel>(0.15, Rng(4)));
+  PathSetup cfg = base_config();
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp,
+                std::make_unique<net::BernoulliChannel>(0.15, Rng(3)),
+                std::make_unique<net::BernoulliChannel>(0.15, Rng(4)));
   conn.start();
   sim.run_until(TimePoint::from_seconds(60));
   // Brutal but not fatal: data still trickles through (liveness, not
@@ -94,10 +105,11 @@ TEST(FailureInjectionTest, SurvivesHeavyRandomLossBothDirections) {
 TEST(FailureInjectionTest, SurvivesTinyQueue) {
   // A 2-packet DropTail queue forces constant overflow loss.
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
+  PathSetup cfg = base_config();
   cfg.downlink.queue_capacity = 2;
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<PerfectChannel>(),
-                       std::make_unique<PerfectChannel>());
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<PerfectChannel>(),
+                std::make_unique<PerfectChannel>());
   conn.start();
   sim.run_until(TimePoint::from_seconds(30));
   EXPECT_GT(conn.downlink().stats().dropped_queue(), 0u);
@@ -108,11 +120,12 @@ TEST(FailureInjectionTest, SurvivesExtremeDelayJitter) {
   // 0-500 ms of i.i.d. jitter: heavy reordering; cumulative ACKs must keep
   // the connection consistent (duplicates allowed, no deadlock).
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
+  PathSetup cfg = base_config();
   auto jittery = std::make_unique<net::JitterChannel>(
       std::make_unique<PerfectChannel>(), 0.100, 1.0, 0.5, Rng(5));
-  tcp::Connection conn(sim, 1, cfg, std::move(jittery),
-                       std::make_unique<PerfectChannel>());
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::move(jittery),
+                std::make_unique<PerfectChannel>());
   conn.start();
   sim.run_until(TimePoint::from_seconds(30));
   const auto& r = conn.receiver().stats();
@@ -126,9 +139,10 @@ TEST(FailureInjectionTest, AsymmetricStarvationUplinkOnly) {
   // Uplink at 99 % loss for the whole run: almost no ACKs ever return, yet
   // the sender must not spin (bounded retransmissions via backoff).
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
-  tcp::Connection conn(sim, 1, cfg, std::make_unique<PerfectChannel>(),
-                       std::make_unique<net::BernoulliChannel>(0.99, Rng(6)));
+  PathSetup cfg = base_config();
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<PerfectChannel>(),
+                std::make_unique<net::BernoulliChannel>(0.99, Rng(6)));
   conn.start();
   sim.run_until(TimePoint::from_seconds(120));
   // Every RTO sends exactly one probe; with T >= 200 ms and doubling, 120 s
@@ -139,9 +153,10 @@ TEST(FailureInjectionTest, AsymmetricStarvationUplinkOnly) {
 
 TEST(FailureInjectionTest, FiniteTransferCompletesDespiteBlackout) {
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
+  PathSetup cfg = base_config();
   cfg.tcp.total_segments = 3000;
-  tcp::Connection conn(sim, 1, cfg, window_blackout(2, 6), window_blackout(2, 6));
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, window_blackout(2, 6), window_blackout(2, 6));
   conn.start();
   sim.run_until(TimePoint::from_seconds(60));
   EXPECT_TRUE(conn.sender().finished());
@@ -151,7 +166,7 @@ TEST(FailureInjectionTest, FiniteTransferCompletesDespiteBlackout) {
 TEST(FailureInjectionTest, MitigationsStackSurvivesChaos) {
   // All optional features on, under flicker + loss + jitter simultaneously.
   sim::Simulator sim;
-  tcp::ConnectionConfig cfg = base_config();
+  PathSetup cfg = base_config();
   cfg.tcp.enable_frto = true;
   cfg.tcp.adaptive_delack = true;
   cfg.tcp.congestion_control = tcp::CongestionControl::kNewReno;
@@ -160,9 +175,10 @@ TEST(FailureInjectionTest, MitigationsStackSurvivesChaos) {
   down_parts.push_back(std::make_unique<net::JitterChannel>(
       std::make_unique<PerfectChannel>(), 0.02, 0.8, 0.2, Rng(8)));
   up_parts.push_back(std::make_unique<net::BernoulliChannel>(0.05, Rng(9)));
-  tcp::Connection conn(sim, 1, cfg,
-                       std::make_unique<net::CompositeChannel>(std::move(down_parts)),
-                       std::make_unique<net::CompositeChannel>(std::move(up_parts)));
+  tcp::Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp,
+                std::make_unique<net::CompositeChannel>(std::move(down_parts)),
+                std::make_unique<net::CompositeChannel>(std::move(up_parts)));
   conn.start();
   sim.run_until(TimePoint::from_seconds(60));
   EXPECT_GT(conn.receiver().stats().unique_segments, 1000u);

@@ -18,6 +18,8 @@ Packet data_packet(std::uint32_t size = 1000) {
   return p;
 }
 
+std::unique_ptr<ChannelModel> perfect() { return std::make_unique<PerfectChannel>(); }
+
 class RecordingTap : public LinkTap {
  public:
   struct Drop {
@@ -42,10 +44,10 @@ TEST(LinkTest, DeliversWithSerializationPlusPropagation) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1 byte per microsecond
   cfg.prop_delay = Duration::millis(10);
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
 
   TimePoint arrival;
-  link.set_receiver([&](const Packet&) { arrival = sim.now(); });
+  link.register_endpoint(0, perfect(), [&](const Packet&) { arrival = sim.now(); });
   link.send(data_packet(1000));  // 1ms serialization
   sim.run();
   EXPECT_EQ(arrival, TimePoint::zero() + Duration::millis(11));
@@ -59,10 +61,11 @@ TEST(LinkTest, BackToBackPacketsQueueBehindEachOther) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;
   cfg.prop_delay = Duration::zero();
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
 
   std::vector<TimePoint> arrivals;
-  link.set_receiver([&](const Packet&) { arrivals.push_back(sim.now()); });
+  link.register_endpoint(0, perfect(),
+                         [&](const Packet&) { arrivals.push_back(sim.now()); });
   link.send(data_packet(1000));  // finishes at 1ms
   link.send(data_packet(1000));  // finishes at 2ms
   sim.run();
@@ -76,10 +79,10 @@ TEST(LinkTest, PreservesFifoOrderWithoutJitter) {
   LinkConfig cfg;
   cfg.rate_bps = 1e6;
   cfg.queue_capacity = 100;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
 
   std::vector<std::uint64_t> seen;
-  link.set_receiver([&](const Packet& p) { seen.push_back(p.seq); });
+  link.register_endpoint(0, perfect(), [&](const Packet& p) { seen.push_back(p.seq); });
   for (std::uint64_t i = 1; i <= 20; ++i) {
     Packet p = data_packet();
     p.seq = i;
@@ -95,10 +98,9 @@ TEST(LinkTest, DropTailOnQueueOverflow) {
   LinkConfig cfg;
   cfg.rate_bps = 8e3;  // 1ms per byte: long queue residence
   cfg.queue_capacity = 3;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
   RecordingTap tap;
-  link.set_tap(&tap);
-  link.set_receiver([](const Packet&) {});
+  link.register_endpoint(0, perfect(), [](const Packet&) {}, &tap);
 
   for (int i = 0; i < 5; ++i) link.send(data_packet(100));
   sim.run();
@@ -115,8 +117,8 @@ TEST(LinkTest, QueueDrainsOverTime) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;
   cfg.queue_capacity = 2;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
-  link.set_receiver([](const Packet&) {});
+  Link link(sim, cfg);
+  link.register_endpoint(0, perfect(), [](const Packet&) {});
 
   link.send(data_packet(1000));
   link.send(data_packet(1000));
@@ -133,11 +135,11 @@ TEST(LinkTest, QueueDrainsOverTime) {
 TEST(LinkTest, ChannelLossCountsAndReportsToTap) {
   sim::Simulator sim;
   LinkConfig cfg;
-  Link link(sim, cfg, std::make_unique<BernoulliChannel>(1.0, util::Rng(1)));
+  Link link(sim, cfg);
   RecordingTap tap;
-  link.set_tap(&tap);
   int received = 0;
-  link.set_receiver([&](const Packet&) { ++received; });
+  link.register_endpoint(0, std::make_unique<BernoulliChannel>(1.0, util::Rng(1)),
+                         [&](const Packet&) { ++received; }, &tap);
 
   link.send(data_packet());
   sim.run();
@@ -155,8 +157,9 @@ TEST(LinkTest, StatsLossRateMixed) {
   LinkConfig cfg;
   cfg.rate_bps = 100e6;
   cfg.queue_capacity = 1000;
-  Link link(sim, cfg, std::make_unique<BernoulliChannel>(0.2, util::Rng(33)));
-  link.set_receiver([](const Packet&) {});
+  Link link(sim, cfg);
+  link.register_endpoint(0, std::make_unique<BernoulliChannel>(0.2, util::Rng(33)),
+                         [](const Packet&) {});
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     link.send(data_packet(100));
@@ -170,10 +173,9 @@ TEST(LinkTest, StatsLossRateMixed) {
 
 TEST(LinkTest, TapSeesEverySend) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
+  Link link(sim, LinkConfig{});
   RecordingTap tap;
-  link.set_tap(&tap);
-  link.set_receiver([](const Packet&) {});
+  link.register_endpoint(0, perfect(), [](const Packet&) {}, &tap);
   for (int i = 0; i < 7; ++i) link.send(data_packet());
   sim.run();
   EXPECT_EQ(tap.sends.size(), 7u);
@@ -182,15 +184,15 @@ TEST(LinkTest, TapSeesEverySend) {
 
 TEST(LinkTest, StampsSentAt) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
+  Link link(sim, LinkConfig{});
   TimePoint stamped;
-  link.set_receiver([&](const Packet& p) { stamped = p.sent_at; });
+  link.register_endpoint(0, perfect(), [&](const Packet& p) { stamped = p.sent_at; });
   sim.after(Duration::millis(5), [&] { link.send(data_packet()); });
   sim.run();
   EXPECT_EQ(stamped, TimePoint::zero() + Duration::millis(5));
 }
 
-// --- demuxed per-flow endpoints ----------------------------------------------
+// --- per-flow endpoints ------------------------------------------------------
 
 Packet flow_packet(FlowId flow, std::uint32_t size = 1000) {
   Packet p = data_packet(size);
@@ -200,10 +202,12 @@ Packet flow_packet(FlowId flow, std::uint32_t size = 1000) {
 
 TEST(LinkEndpointTest, RoutesEachFlowToItsOwnReceiver) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
+  Link link(sim, LinkConfig{});
   std::vector<FlowId> to_one, to_two;
-  link.register_endpoint(1, [&](const Packet& p) { to_one.push_back(p.flow); });
-  link.register_endpoint(2, [&](const Packet& p) { to_two.push_back(p.flow); });
+  link.register_endpoint(1, perfect(),
+                         [&](const Packet& p) { to_one.push_back(p.flow); });
+  link.register_endpoint(2, perfect(),
+                         [&](const Packet& p) { to_two.push_back(p.flow); });
   EXPECT_TRUE(link.has_endpoint(1));
   EXPECT_FALSE(link.has_endpoint(3));
   EXPECT_EQ(link.endpoint_count(), 2u);
@@ -216,25 +220,74 @@ TEST(LinkEndpointTest, RoutesEachFlowToItsOwnReceiver) {
   EXPECT_EQ(to_two, (std::vector<FlowId>{2}));
 }
 
-TEST(LinkEndpointTest, UnregisteredFlowsFallBackToAggregateReceiver) {
+TEST(LinkEndpointTest, EachFlowCrossesItsOwnChannel) {
+  // Flow 1's channel kills everything, flow 2's is clean: only the owning
+  // flow's channel decides a packet's fate.
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  std::vector<FlowId> endpoint_saw, fallback_saw;
-  link.register_endpoint(1, [&](const Packet& p) { endpoint_saw.push_back(p.flow); });
-  link.set_receiver([&](const Packet& p) { fallback_saw.push_back(p.flow); });
+  Link link(sim, LinkConfig{});
+  RecordingTap tap1, tap2;
+  link.register_endpoint(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(1)),
+                         [](const Packet&) {}, &tap1);
+  link.register_endpoint(2, perfect(), [](const Packet&) {}, &tap2);
 
   link.send(flow_packet(1));
-  link.send(flow_packet(9));  // nobody registered flow 9
+  link.send(flow_packet(2));
   sim.run();
-  EXPECT_EQ(endpoint_saw, (std::vector<FlowId>{1}));
-  EXPECT_EQ(fallback_saw, (std::vector<FlowId>{9}));
+  EXPECT_EQ(tap1.drops.size(), 1u);
+  EXPECT_TRUE(tap1.delivers.empty());
+  EXPECT_TRUE(tap2.drops.empty());
+  EXPECT_EQ(tap2.delivers.size(), 1u);
+  EXPECT_EQ(link.endpoint_stats(1).dropped_channel(), 1u);
+  EXPECT_EQ(link.endpoint_stats(2).delivered, 1u);
+}
+
+TEST(LinkEndpointTest, ChannelVerdictReachesTheTapUntouched) {
+  // The endpoint adds no attribution of its own: a drop reads exactly as the
+  // flow's channel decided it (no composite component path), which keeps a
+  // one-flow link bit-identical to the channel alone.
+  sim::Simulator sim;
+  Link link(sim, LinkConfig{});
+  RecordingTap tap;
+  link.register_endpoint(1, std::make_unique<BernoulliChannel>(1.0, util::Rng(7)),
+                         [](const Packet&) {}, &tap);
+  link.send(flow_packet(1));
+  sim.run();
+  ASSERT_EQ(tap.drops.size(), 1u);
+  EXPECT_EQ(tap.drops[0].cause.category, DropCategory::kBernoulli);
+  EXPECT_FALSE(tap.drops[0].cause.has_component());
+}
+
+TEST(LinkEndpointTest, EachFlowKeepsItsOwnChannelState) {
+  // Two Bernoulli channels with the same seed stay in lockstep only if each
+  // flow consumes its OWN randomness stream.
+  sim::Simulator sim;
+  LinkConfig cfg;
+  cfg.queue_capacity = 1000;
+  Link link(sim, cfg);
+  std::vector<SeqNo> got_one, got_two;
+  link.register_endpoint(1, std::make_unique<BernoulliChannel>(0.5, util::Rng(11)),
+                         [&](const Packet& p) { got_one.push_back(p.seq); });
+  link.register_endpoint(2, std::make_unique<BernoulliChannel>(0.5, util::Rng(11)),
+                         [&](const Packet& p) { got_two.push_back(p.seq); });
+  for (SeqNo i = 1; i <= 64; ++i) {
+    Packet a = flow_packet(1);
+    a.seq = i;
+    link.send(a);
+    Packet b = flow_packet(2);
+    b.seq = i;
+    link.send(b);
+  }
+  sim.run();
+  EXPECT_FALSE(got_one.empty());
+  EXPECT_LT(got_one.size(), 64u);
+  EXPECT_EQ(got_one, got_two);
 }
 
 TEST(LinkEndpointTest, SplitsStatsPerFlowAndSumsToAggregate) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  link.register_endpoint(1, [](const Packet&) {});
-  link.register_endpoint(2, [](const Packet&) {});
+  Link link(sim, LinkConfig{});
+  link.register_endpoint(1, perfect(), [](const Packet&) {});
+  link.register_endpoint(2, perfect(), [](const Packet&) {});
 
   link.send(flow_packet(1, 500));
   link.send(flow_packet(1, 500));
@@ -256,10 +309,10 @@ TEST(LinkEndpointTest, TwoFlowsShareOneFifoQueue) {
   LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1ms per 1000-byte packet
   cfg.prop_delay = Duration::zero();
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
   std::vector<FlowId> order;
-  link.register_endpoint(1, [&](const Packet& p) { order.push_back(p.flow); });
-  link.register_endpoint(2, [&](const Packet& p) { order.push_back(p.flow); });
+  link.register_endpoint(1, perfect(), [&](const Packet& p) { order.push_back(p.flow); });
+  link.register_endpoint(2, perfect(), [&](const Packet& p) { order.push_back(p.flow); });
 
   // Interleaved arrivals serialize through the ONE transmitter in FIFO
   // order — flow 2's packet waits behind flow 1's, not on a private queue.
@@ -276,10 +329,10 @@ TEST(LinkEndpointTest, QueueOverflowDropsAttributeToTheArrivingFlow) {
   LinkConfig cfg;
   cfg.rate_bps = 8e3;  // slow: everything queues
   cfg.queue_capacity = 2;
-  Link link(sim, cfg, std::make_unique<PerfectChannel>());
+  Link link(sim, cfg);
   RecordingTap tap1, tap2;
-  link.register_endpoint(1, [](const Packet&) {}, &tap1);
-  link.register_endpoint(2, [](const Packet&) {}, &tap2);
+  link.register_endpoint(1, perfect(), [](const Packet&) {}, &tap1);
+  link.register_endpoint(2, perfect(), [](const Packet&) {}, &tap2);
 
   // Flow 1 fills the shared queue; flow 2's arrivals are the ones tail-
   // dropped, and the drop lands in FLOW 2's stats and tap.
@@ -298,40 +351,32 @@ TEST(LinkEndpointTest, QueueOverflowDropsAttributeToTheArrivingFlow) {
   EXPECT_EQ(link.endpoint_stats(2).delivered, 0u);
 }
 
-TEST(LinkEndpointTest, AggregateTapStillSeesEveryFlow) {
-  sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  RecordingTap aggregate, mine;
-  link.set_tap(&aggregate);
-  link.register_endpoint(1, [](const Packet&) {}, &mine);
-  link.register_endpoint(2, [](const Packet&) {});
-
-  link.send(flow_packet(1));
-  link.send(flow_packet(2));
-  sim.run();
-  EXPECT_EQ(aggregate.sends.size(), 2u);
-  EXPECT_EQ(aggregate.delivers.size(), 2u);
-  EXPECT_EQ(mine.sends.size(), 1u);
-  EXPECT_EQ(mine.delivers.size(), 1u);
-}
-
 TEST(LinkEndpointDeathTest, RejectsDuplicateAndUnknownFlows) {
   sim::Simulator sim;
-  Link link(sim, LinkConfig{}, std::make_unique<PerfectChannel>());
-  link.register_endpoint(1, [](const Packet&) {});
-  EXPECT_DEATH(link.register_endpoint(1, [](const Packet&) {}),
+  Link link(sim, LinkConfig{});
+  link.register_endpoint(1, perfect(), [](const Packet&) {});
+  EXPECT_DEATH(link.register_endpoint(1, perfect(), [](const Packet&) {}),
                "already has an endpoint");
   EXPECT_DEATH(link.endpoint_stats(7), "unregistered flow");
+  // A packet of a flow without an endpoint has nowhere to go.
+  EXPECT_DEATH(link.send(flow_packet(9)), "no endpoint");
+}
+
+TEST(LinkEndpointDeathTest, RejectsNullChannelAndReceiver) {
+  sim::Simulator sim;
+  Link link(sim, LinkConfig{});
+  EXPECT_DEATH(link.register_endpoint(1, nullptr, [](const Packet&) {}), "channel");
+  EXPECT_DEATH(link.register_endpoint(1, perfect(), Link::Receiver{}), "receiver");
 }
 
 TEST(LinkDeathTest, RejectsBadConfig) {
   sim::Simulator sim;
   LinkConfig zero_rate;
   zero_rate.rate_bps = 0.0;
-  EXPECT_DEATH(Link(sim, zero_rate, std::make_unique<PerfectChannel>()), "rate");
+  EXPECT_DEATH(Link(sim, zero_rate), "rate");
   LinkConfig zero_queue;
   zero_queue.queue_capacity = 0;
-  EXPECT_DEATH(Link(sim, zero_queue, std::make_unique<PerfectChannel>()), "queue");
+  EXPECT_DEATH(Link(sim, zero_queue), "queue");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,15 @@
 namespace hsr::tcp {
 namespace {
 
-ConnectionConfig clean_config() {
-  ConnectionConfig cfg;
+// One TCP flow's protocol knobs and the link pair it runs over.
+struct PathSetup {
+  TcpConfig tcp;
+  net::LinkConfig downlink;
+  net::LinkConfig uplink;
+};
+
+PathSetup clean_config() {
+  PathSetup cfg;
   cfg.tcp.receiver_window = 64;
   cfg.tcp.delayed_ack_b = 2;
   cfg.downlink.rate_bps = 10e6;
@@ -26,10 +33,11 @@ ConnectionConfig clean_config() {
 
 TEST(ConnectionTest, LosslessFlowIsWindowLimited) {
   sim::Simulator sim;
-  ConnectionConfig cfg = clean_config();
+  PathSetup cfg = clean_config();
   cfg.downlink.rate_bps = 50e6;  // keep the path capacity above W_m/RTT
-  Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                  std::make_unique<net::PerfectChannel>());
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<net::PerfectChannel>(),
+                std::make_unique<net::PerfectChannel>());
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(30));
 
@@ -44,8 +52,10 @@ TEST(ConnectionTest, LosslessFlowIsWindowLimited) {
 
 TEST(ConnectionTest, NoLossNoRetransmissions) {
   sim::Simulator sim;
-  Connection conn(sim, 1, clean_config(), std::make_unique<net::PerfectChannel>(),
-                  std::make_unique<net::PerfectChannel>());
+  const PathSetup cfg = clean_config();
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<net::PerfectChannel>(),
+                std::make_unique<net::PerfectChannel>());
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(10));
   EXPECT_EQ(conn.sender().stats().retransmissions, 0u);
@@ -55,8 +65,10 @@ TEST(ConnectionTest, NoLossNoRetransmissions) {
 
 TEST(ConnectionTest, ReceiverStatsMatchLinkStats) {
   sim::Simulator sim;
-  Connection conn(sim, 1, clean_config(), std::make_unique<net::PerfectChannel>(),
-                  std::make_unique<net::PerfectChannel>());
+  const PathSetup cfg = clean_config();
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<net::PerfectChannel>(),
+                std::make_unique<net::PerfectChannel>());
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(5));
   EXPECT_EQ(conn.downlink().stats().delivered,
@@ -72,7 +84,7 @@ class PftkValidation : public testing::TestWithParam<double> {};
 TEST_P(PftkValidation, GoodputNearPftkPrediction) {
   const double p = GetParam();
   sim::Simulator sim;
-  ConnectionConfig cfg = clean_config();
+  PathSetup cfg = clean_config();
   cfg.tcp.receiver_window = 1000;  // effectively unlimited
   cfg.downlink.rate_bps = 100e6;
   cfg.uplink.rate_bps = 100e6;
@@ -82,11 +94,10 @@ TEST_P(PftkValidation, GoodputNearPftkPrediction) {
   cfg.uplink.prop_delay = util::Duration::millis(50);
 
   trace::FlowCapture cap;
-  Connection conn(sim, 1, cfg,
-                  std::make_unique<net::BernoulliChannel>(p, util::Rng(99)),
-                  std::make_unique<net::PerfectChannel>());
-  conn.set_downlink_tap(&cap.data);
-  conn.set_uplink_tap(&cap.acks);
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp,
+                std::make_unique<net::BernoulliChannel>(p, util::Rng(99)),
+                std::make_unique<net::PerfectChannel>(), &cap.data, &cap.acks);
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(120));
 
@@ -111,7 +122,7 @@ TEST(ConnectionTest, AckBlackoutCausesSpuriousTimeout) {
   // paper's spurious-RTO mechanism (Fig. 5) — and the receiver must see the
   // duplicate payload that the paper's methodology keys on.
   sim::Simulator sim;
-  ConnectionConfig cfg = clean_config();
+  PathSetup cfg = clean_config();
   auto blackout = std::make_unique<net::FunctionalChannel>(
       [](const net::Packet&, util::TimePoint now) {
         const bool dead = now >= util::TimePoint::from_seconds(5.0) &&
@@ -120,8 +131,9 @@ TEST(ConnectionTest, AckBlackoutCausesSpuriousTimeout) {
       },
       [](const net::Packet&, util::TimePoint) { return util::Duration::zero(); },
       util::Rng(1));
-  Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                  std::move(blackout));
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<net::PerfectChannel>(),
+                std::move(blackout));
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(20));
 
@@ -133,7 +145,7 @@ TEST(ConnectionTest, AckBlackoutCausesSpuriousTimeout) {
 
 TEST(ConnectionTest, DataBlackoutCausesGenuineTimeoutAndRecovery) {
   sim::Simulator sim;
-  ConnectionConfig cfg = clean_config();
+  PathSetup cfg = clean_config();
   auto blackout = std::make_unique<net::FunctionalChannel>(
       [](const net::Packet&, util::TimePoint now) {
         const bool dead = now >= util::TimePoint::from_seconds(5.0) &&
@@ -142,8 +154,9 @@ TEST(ConnectionTest, DataBlackoutCausesGenuineTimeoutAndRecovery) {
       },
       [](const net::Packet&, util::TimePoint) { return util::Duration::zero(); },
       util::Rng(1));
-  Connection conn(sim, 1, cfg, std::move(blackout),
-                  std::make_unique<net::PerfectChannel>());
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::move(blackout),
+                std::make_unique<net::PerfectChannel>());
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(20));
 
@@ -156,8 +169,10 @@ TEST(ConnectionTest, DataBlackoutCausesGenuineTimeoutAndRecovery) {
 
 TEST(ConnectionTest, GoodputBpsConsistentWithSegments) {
   sim::Simulator sim;
-  Connection conn(sim, 1, clean_config(), std::make_unique<net::PerfectChannel>(),
-                  std::make_unique<net::PerfectChannel>());
+  const PathSetup cfg = clean_config();
+  Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+  conn.add_flow(1, cfg.tcp, std::make_unique<net::PerfectChannel>(),
+                std::make_unique<net::PerfectChannel>());
   conn.start();
   sim.run_until(util::TimePoint::from_seconds(5));
   EXPECT_NEAR(conn.goodput_bps(),
@@ -167,10 +182,11 @@ TEST(ConnectionTest, GoodputBpsConsistentWithSegments) {
 TEST(ConnectionTest, DeterministicAcrossRuns) {
   auto run_once = [] {
     sim::Simulator sim;
-    ConnectionConfig cfg = clean_config();
-    Connection conn(sim, 1, cfg,
-                    std::make_unique<net::BernoulliChannel>(0.01, util::Rng(7)),
-                    std::make_unique<net::BernoulliChannel>(0.005, util::Rng(8)));
+    PathSetup cfg = clean_config();
+    Bottleneck conn(sim, cfg.downlink, cfg.uplink);
+    conn.add_flow(1, cfg.tcp,
+                  std::make_unique<net::BernoulliChannel>(0.01, util::Rng(7)),
+                  std::make_unique<net::BernoulliChannel>(0.005, util::Rng(8)));
     conn.start();
     sim.run_until(util::TimePoint::from_seconds(10));
     return conn.receiver().stats().unique_segments;

@@ -7,7 +7,7 @@
 
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
 #include "util/rng.h"
@@ -119,13 +119,12 @@ TEST_F(FrtoFixture, EndToEndFrtoRecoversWindowAfterShortAckBlackout) {
   };
   auto run_variant = [](bool frto) {
     sim::Simulator sim;
-    ConnectionConfig cfg;
-    cfg.tcp.receiver_window = 64;
-    cfg.tcp.enable_frto = frto;
-    cfg.downlink.rate_bps = 10e6;
-    cfg.downlink.prop_delay = util::Duration::millis(20);
-    cfg.uplink.rate_bps = 10e6;
-    cfg.uplink.prop_delay = util::Duration::millis(20);
+    TcpConfig tcp;
+    tcp.receiver_window = 64;
+    tcp.enable_frto = frto;
+    net::LinkConfig link;  // both directions
+    link.rate_bps = 10e6;
+    link.prop_delay = util::Duration::millis(20);
     auto blackout = std::make_unique<net::FunctionalChannel>(
         [](const net::Packet&, util::TimePoint now) {
           return (now >= util::TimePoint::from_seconds(5.0) &&
@@ -135,8 +134,8 @@ TEST_F(FrtoFixture, EndToEndFrtoRecoversWindowAfterShortAckBlackout) {
         },
         [](const net::Packet&, util::TimePoint) { return util::Duration::zero(); },
         util::Rng(1));
-    Connection conn(sim, 1, cfg, std::make_unique<net::PerfectChannel>(),
-                    std::move(blackout));
+    Bottleneck conn(sim, link, link);
+    conn.add_flow(1, tcp, std::make_unique<net::PerfectChannel>(), std::move(blackout));
     conn.start();
     sim.run_until(util::TimePoint::from_seconds(20));
     return Outcome{conn.receiver().stats().unique_segments,

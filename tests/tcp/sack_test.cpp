@@ -7,7 +7,7 @@
 
 #include "net/channel.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
 #include "util/rng.h"
@@ -191,13 +191,12 @@ TEST(SackEndToEndTest, SackBeatsGoBackNAfterBurstLoss) {
   // goodput.
   auto run_variant = [](bool sack) {
     sim::Simulator sim;
-    ConnectionConfig cfg;
-    cfg.tcp.receiver_window = 64;
-    cfg.tcp.enable_sack = sack;
-    cfg.downlink.rate_bps = 10e6;
-    cfg.downlink.prop_delay = util::Duration::millis(20);
-    cfg.uplink.rate_bps = 10e6;
-    cfg.uplink.prop_delay = util::Duration::millis(20);
+    TcpConfig tcp;
+    tcp.receiver_window = 64;
+    tcp.enable_sack = sack;
+    net::LinkConfig link;  // both directions
+    link.rate_bps = 10e6;
+    link.prop_delay = util::Duration::millis(20);
     auto bursty = std::make_unique<net::FunctionalChannel>(
         [](const net::Packet&, util::TimePoint now) {
           const double t = now.to_seconds();
@@ -206,8 +205,8 @@ TEST(SackEndToEndTest, SackBeatsGoBackNAfterBurstLoss) {
         },
         [](const net::Packet&, util::TimePoint) { return util::Duration::zero(); },
         util::Rng(1));
-    Connection conn(sim, 1, cfg, std::move(bursty),
-                    std::make_unique<net::PerfectChannel>());
+    Bottleneck conn(sim, link, link);
+    conn.add_flow(1, tcp, std::move(bursty), std::make_unique<net::PerfectChannel>());
     conn.start();
     sim.run_until(util::TimePoint::from_seconds(30));
     return std::pair<std::uint64_t, std::uint64_t>(

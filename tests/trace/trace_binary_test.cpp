@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "radio/profiles.h"
 #include "trace/trace_io.h"
@@ -162,24 +163,51 @@ TEST(TraceBinaryTest, EverySingleByteFlipIsDetected) {
   // crc field, seq, size, payload): the CRC covers everything after itself,
   // and a corrupted CRC field no longer matches the intact rest, so each
   // position must yield an error or a torn tail — never a silent success.
+  // The 0x0F mask reaches the size field's high bytes, which claim tens of
+  // gigabytes: the reader must not try to allocate them.
   const FlowCapture cap = sample_capture();
   const std::string clean = binary_corpus_of(cap);
   const std::size_t frames_begin = kBinaryTraceMagicSize + 8;
-  for (std::size_t pos = frames_begin; pos < clean.size(); ++pos) {
+  for (const unsigned char mask : {0x41, 0x0F}) {
+    for (std::size_t pos = frames_begin; pos < clean.size(); ++pos) {
+      std::string bytes = clean;
+      bytes[pos] = static_cast<char>(bytes[pos] ^ mask);
+      std::istringstream in(bytes);
+      const auto corpus = read_binary_corpus(in);
+      if (corpus.is_ok()) {
+        // Allowed only when the flipped size field turned the frame into a
+        // torn tail (claimed length now runs past EOF) — and then the flow
+        // must have been dropped, not returned corrupted.
+        EXPECT_TRUE(corpus.value().torn_tail) << "pos=" << pos << " mask=" << +mask;
+        EXPECT_TRUE(corpus.value().flows.empty()) << "pos=" << pos << " mask=" << +mask;
+      } else {
+        EXPECT_NE(corpus.status().message().find("frame 0"), std::string::npos)
+            << "pos=" << pos << " mask=" << +mask << ": " << corpus.status().to_string();
+      }
+    }
+  }
+}
+
+TEST(TraceBinaryTest, FlippedFrameSizeOfARealFlowIsATornTail) {
+  // One flipped bit pattern in a one-flow file's frame size: byte 3 ^ 0x41
+  // claims ~1 GB more, byte 4 ^ 0x0F ~60 GiB more. Both run past EOF, so
+  // the frame is a torn tail — read without allocating the claimed size.
+  workload::FlowRunConfig cfg;
+  cfg.profile = radio::mobile_lte_highspeed();
+  cfg.duration = util::Duration::seconds(5);
+  cfg.seed = 20157;
+  const std::string clean = binary_corpus_of(workload::run_flow(cfg).capture);
+  // Frame header: type(1) crc(4) seq(8) size(8), after the file header.
+  const std::size_t size_field = kBinaryTraceMagicSize + 8 + 1 + 4 + 8;
+  for (const auto& [byte, mask] : {std::pair<std::size_t, unsigned char>{3, 0x41},
+                                   std::pair<std::size_t, unsigned char>{4, 0x0F}}) {
     std::string bytes = clean;
-    bytes[pos] = static_cast<char>(bytes[pos] ^ 0x41);
+    bytes[size_field + byte] = static_cast<char>(bytes[size_field + byte] ^ mask);
     std::istringstream in(bytes);
     const auto corpus = read_binary_corpus(in);
-    if (corpus.is_ok()) {
-      // Allowed only when the flipped size field turned the frame into a
-      // torn tail (claimed length now runs past EOF) — and then the flow
-      // must have been dropped, not returned corrupted.
-      EXPECT_TRUE(corpus.value().torn_tail) << "pos=" << pos;
-      EXPECT_TRUE(corpus.value().flows.empty()) << "pos=" << pos;
-    } else {
-      EXPECT_NE(corpus.status().message().find("frame 0"), std::string::npos)
-          << "pos=" << pos << ": " << corpus.status().to_string();
-    }
+    ASSERT_TRUE(corpus.is_ok()) << "byte " << byte << ": " << corpus.status().to_string();
+    EXPECT_TRUE(corpus.value().torn_tail) << "byte " << byte;
+    EXPECT_TRUE(corpus.value().flows.empty()) << "byte " << byte;
   }
 }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/flow_analysis.h"
+#include "radio/environment.h"
+#include "sim/simulator.h"
+#include "tcp/bottleneck.h"
+#include "util/rng.h"
+#include "workload/multi_flow.h"
 
 namespace hsr::workload {
 namespace {
@@ -90,6 +97,40 @@ TEST(MptcpComparisonTest, BackupModeRescues) {
   const MptcpComparison cmp = run_mptcp_comparison(
       radio::telecom_3g_highspeed(), Duration::seconds(60), 3, mptcp::Mode::kBackup);
   EXPECT_GE(cmp.rescues, 1u);
+}
+
+TEST(FixedTransferTest, CompletionIsTheArrivalOfTheLastSegment) {
+  // Fig. 12 scores a fixed transfer by segments over completion time, and
+  // completion is the virtual instant the receiver first holds every
+  // segment — not the end of a polling step.
+  const radio::ProviderProfile profile = radio::telecom_3g_highspeed();
+  const MptcpComparison cmp = run_fixed_transfer_comparison(profile, 3000, 2015);
+  ASSERT_GT(cmp.tcp_pps, 0.0);
+  const double completion_s = 3000.0 / cmp.tcp_pps;
+
+  // The same large flow wired independently (seed 2015, forks "radio", "d"
+  // and "u"): its 3000th unique segment arrives at the completion time.
+  net::reset_packet_ids();
+  sim::Simulator sim;
+  util::Rng rng(2015);
+  radio::RadioEnvironment env(profile.radio, rng.fork("radio"));
+  FlowRunConfig fc;
+  fc.profile = profile;
+  tcp::TcpConfig tcfg = tcp_config_for(fc);
+  tcfg.total_segments = 3000;
+  tcp::Bottleneck path(sim, downlink_config(profile), uplink_config(profile));
+  path.add_flow(1, tcfg, env.make_channel(radio::Direction::kDownlink, rng.fork("d")),
+                env.make_channel(radio::Direction::kUplink, rng.fork("u")));
+  path.start();
+  sim.run_until(TimePoint::from_seconds(1800));
+  const std::vector<TimePoint>& arrivals = path.receiver().delivery_times();
+  ASSERT_EQ(arrivals.size(), 3000u);
+  EXPECT_NEAR(completion_s, arrivals.back().to_seconds(), 1e-9);
+
+  // Not quantized to a polling step: a 0.5 s step scores this transfer at
+  // exactly 135.0 s.
+  EXPECT_LT(completion_s, 135.0);
+  EXPECT_NE(std::fmod(completion_s, 0.5), 0.0);
 }
 
 }  // namespace

@@ -47,10 +47,11 @@
 #include "net/channel.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
-#include "tcp/connection.h"
+#include "tcp/bottleneck.h"
 #include "trace/capture.h"
 #include "trace/trace_binary.h"
 #include "trace/trace_io.h"
+#include "util/crc32c.h"
 #include "util/fs.h"
 #include "util/time.h"
 
@@ -325,26 +326,28 @@ hsr::trace::FlowCapture replay(
   hsr::trace::FlowCapture capture;
   capture.flow = 1;
 
-  hsr::tcp::ConnectionConfig cfg;
+  hsr::tcp::TcpConfig tcp;
+  hsr::net::LinkConfig down_link;
+  hsr::net::LinkConfig up_link;
   if (params.has_value()) {
     // v2 plans carry the archived experiment's own topology.
-    cfg.downlink.rate_bps = params->down_rate_bps;
-    cfg.downlink.prop_delay = Duration::nanos(params->down_delay_ns);
-    cfg.downlink.queue_capacity = static_cast<std::size_t>(params->down_queue);
-    cfg.uplink.rate_bps = params->up_rate_bps;
-    cfg.uplink.prop_delay = Duration::nanos(params->up_delay_ns);
-    cfg.uplink.queue_capacity = static_cast<std::size_t>(params->up_queue);
+    down_link.rate_bps = params->down_rate_bps;
+    down_link.prop_delay = Duration::nanos(params->down_delay_ns);
+    down_link.queue_capacity = static_cast<std::size_t>(params->down_queue);
+    up_link.rate_bps = params->up_rate_bps;
+    up_link.prop_delay = Duration::nanos(params->up_delay_ns);
+    up_link.queue_capacity = static_cast<std::size_t>(params->up_queue);
     hsr::tcp::TcpOptions opts = params->tcp;
     // A zero min_rto means the plan predates recording it — keep the
     // stack's own default rather than clamping RTO to zero.
-    if (opts.min_rto.ns() <= 0) opts.min_rto = cfg.tcp.rto.min_rto;
-    cfg.tcp = hsr::tcp::make_tcp_config(opts, params->receiver_window);
+    if (opts.min_rto.ns() <= 0) opts.min_rto = tcp.rto.min_rto;
+    tcp = hsr::tcp::make_tcp_config(opts, params->receiver_window);
   } else {
     // The EXPERIMENTS.md scripted-fault path: 10 Mbit/s, 20 ms one-way.
-    cfg.downlink.rate_bps = 10e6;
-    cfg.downlink.prop_delay = Duration::millis(20);
-    cfg.uplink.rate_bps = 10e6;
-    cfg.uplink.prop_delay = Duration::millis(20);
+    down_link.rate_bps = 10e6;
+    down_link.prop_delay = Duration::millis(20);
+    up_link.rate_bps = 10e6;
+    up_link.prop_delay = Duration::millis(20);
   }
 
   std::unique_ptr<hsr::net::ChannelModel> down_channel =
@@ -362,11 +365,10 @@ hsr::trace::FlowCapture replay(
     up_channel = std::move(inj);
   }
 
-  hsr::tcp::Connection conn(sim, 1, cfg, std::move(down_channel),
-                            std::move(up_channel));
-  conn.set_downlink_tap(&capture.data);
-  conn.set_uplink_tap(&capture.acks);
-  conn.start();
+  hsr::tcp::Bottleneck path(sim, down_link, up_link);
+  path.add_flow(1, tcp, std::move(down_channel), std::move(up_channel), &capture.data,
+                &capture.acks);
+  path.start();
   sim.run_until(TimePoint::from_seconds(duration_s));
   return capture;
 }
@@ -446,6 +448,13 @@ int run_selftest() {
   hsr::trace::write_flow_capture(sb, b);
   if (sa.str() != sb.str() || sa.str().empty()) {
     std::cerr << "selftest: replay is not byte-identical\n";
+    return 1;
+  }
+  // Golden pin of the replayed capture (byte count + CRC-32C): a change to
+  // how a flow is wired to its links must leave these bytes unchanged.
+  if (sa.str().size() != 410271 || hsr::util::crc32c(sa.str()) != 0xab503bc5U) {
+    std::cerr << "selftest: replay capture drifted from its golden digest (size "
+              << sa.str().size() << ")\n";
     return 1;
   }
 
