@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstddef>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -15,17 +16,6 @@ struct AckArrival {
   SeqNo ack_next;
 };
 
-// ACKs that actually reached the sender, in arrival order.
-std::vector<AckArrival> collect_ack_arrivals(const trace::FlowCapture& capture) {
-  std::vector<AckArrival> arrivals;
-  for (const auto& tx : capture.acks.transmissions()) {
-    if (tx.arrived) arrivals.push_back({*tx.arrived, tx.packet.ack_next});
-  }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const AckArrival& a, const AckArrival& b) { return a.when < b.when; });
-  return arrivals;
-}
-
 // Index of the first arrival with when > t.
 std::size_t first_arrival_after(const std::vector<AckArrival>& arrivals, TimePoint t) {
   return static_cast<std::size_t>(
@@ -34,98 +24,269 @@ std::size_t first_arrival_after(const std::vector<AckArrival>& arrivals, TimePoi
       arrivals.begin());
 }
 
-// True if some ACK arrived in (t - window, t].
-bool ack_arrived_just_before(const std::vector<AckArrival>& arrivals, TimePoint t,
-                             Duration window) {
-  const std::size_t after = first_arrival_after(arrivals, t);
-  if (after == 0) return false;
-  return arrivals[after - 1].when > t - window;
+std::size_t count_arrived(const std::vector<trace::Transmission>& txs) {
+  return static_cast<std::size_t>(std::count_if(
+      txs.begin(), txs.end(), [](const trace::Transmission& tx) { return !tx.lost(); }));
 }
 
 // Classification of every data transmission.
-enum class TxClass { kFirstSend, kRtoRetx, kFastRetx, kAckDrivenResend };
+enum class TxClass : std::uint8_t { kFirstSend, kRtoRetx, kFastRetx, kAckDrivenResend };
 
-std::vector<TxClass> classify_transmissions(const trace::FlowCapture& capture,
-                                            const std::vector<AckArrival>& arrivals,
-                                            const AnalysisConfig& cfg) {
-  const auto& txs = capture.data.transmissions();
-  std::vector<TxClass> classes(txs.size(), TxClass::kFirstSend);
-  std::map<SeqNo, std::size_t> last_send_of;
+// Per data transmission: its TxClass in the low bits, plus two marks.
+constexpr std::uint8_t kClassMask = 3;
+constexpr std::uint8_t kEarlierCopyArrived = 4;  // an earlier send of the seq was delivered
+constexpr std::uint8_t kConsumed = 8;            // counted in a timeout sequence already
 
+// Per seq slot while the sends are walked in capture order.
+constexpr std::uint8_t kSlotSent = 1;
+constexpr std::uint8_t kSlotArrived = 2;
+
+// Index tables over one capture, built in linear passes (DESIGN.md §6e).
+// Every data seq owns a slot (trace::SeqSlots); the sends of a slot and the
+// arrivals of ACKs naming it are grouped by counting-sort offsets (CSR).
+struct FlowTables {
+  const std::vector<trace::Transmission>& txs;
+  trace::SeqSlots slots;
+  std::vector<std::uint32_t> slot_of;     // per data transmission
+  std::vector<std::uint32_t> send_begin;  // per slot + 1: offsets into sends
+  std::vector<std::uint32_t> sends;       // data tx indices by slot, capture order
+  std::vector<std::uint8_t> slot_state;   // per slot: kSlotSent | kSlotArrived
+  std::vector<std::uint8_t> tx_flags;     // per data transmission: TxClass + marks
+  std::vector<AckArrival> arrivals;       // ACKs that reached the sender, by arrival time
+  // Per slot + 1: offsets into ack_times, which holds the arrival times of
+  // the ACKs whose ack_next names the slot's seq, in time order. Only slots
+  // sent more than once need them (duplicate-ACK counts between two sends).
+  std::vector<std::uint32_t> ack_begin;
+  std::vector<TimePoint> ack_times;
+  std::uint64_t first_sends = 0;
+  std::uint64_t first_sends_lost = 0;
+  std::size_t rto_count = 0;
+  unsigned fast_count = 0;
+
+  FlowTables(const trace::FlowCapture& capture, const AnalysisConfig& cfg)
+      : txs(capture.data.transmissions()),
+        slots(txs),
+        slot_of(txs.size()),
+        send_begin(slots.size() + 1, 0),
+        sends(txs.size()),
+        slot_state(slots.size(), 0),
+        tx_flags(txs.size(), 0),
+        arrivals(count_arrived(capture.acks.transmissions())),
+        ack_begin(slots.size() + 1, 0),
+        ack_times(arrivals.size()) {
+    constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+    HSR_CHECK_MSG(slots.size() < kMaxIndex && txs.size() < kMaxIndex &&
+                      arrivals.size() < kMaxIndex,
+                  "capture too large for 32-bit table indices");
+    group_sends_and_arrivals(capture.acks.transmissions());
+    classify(cfg);
+  }
+
+  TxClass class_of(std::size_t i) const {
+    return static_cast<TxClass>(tx_flags[i] & kClassMask);
+  }
+
+  // Duplicate ACKs for `slot` arriving in (after, until].
+  std::size_t dupacks(std::size_t slot, TimePoint after, TimePoint until) const {
+    if (!(after < until)) return 0;
+    const auto b = ack_times.begin() + ack_begin[slot];
+    const auto e = ack_times.begin() + ack_begin[slot + 1];
+    return static_cast<std::size_t>(std::upper_bound(b, e, until) -
+                                    std::upper_bound(b, e, after));
+  }
+
+  // Position of data tx `i` among the sends of its slot.
+  std::size_t position_of(std::size_t i) const {
+    const std::size_t slot = slot_of[i];
+    const auto b = sends.begin() + send_begin[slot];
+    const auto e = sends.begin() + send_begin[slot + 1];
+    return static_cast<std::size_t>(
+        std::lower_bound(b, e, static_cast<std::uint32_t>(i)) - sends.begin());
+  }
+
+ private:
+  void group_sends_and_arrivals(const std::vector<trace::Transmission>& acks);
+  void classify(const AnalysisConfig& cfg);
+};
+
+// Per-round ACK tallies for estimate_ack_burst_loss.
+struct AckRound {
+  std::int64_t round;
+  bool lost;
+};
+
+// Turns per-slot counts at offsets[slot + 1] into start offsets.
+void counts_to_offsets(std::vector<std::uint32_t>& offsets) {
+  for (std::size_t s = 1; s < offsets.size(); ++s) offsets[s] += offsets[s - 1];
+}
+
+// After a fill that advanced offsets[slot] to the slot's end, shifts the
+// offsets back to the slots' starts.
+void rewind_offsets(std::vector<std::uint32_t>& offsets) {
+  for (std::size_t s = offsets.size() - 1; s > 0; --s) offsets[s] = offsets[s - 1];
+  offsets[0] = 0;
+}
+
+// HSR_HOT_PATH_BEGIN — the per-transmission passes of the §III reduction:
+// every table above is sized before they run.
+void FlowTables::group_sends_and_arrivals(const std::vector<trace::Transmission>& acks) {
   for (std::size_t i = 0; i < txs.size(); ++i) {
-    const SeqNo s = txs[i].packet.seq;
+    const auto slot = static_cast<std::uint32_t>(slots.slot(txs[i].packet.seq));
+    slot_of[i] = slot;
+    ++send_begin[slot + 1];
+  }
+  std::size_t k = 0;
+  for (const auto& tx : acks) {
+    if (tx.arrived) arrivals[k++] = {*tx.arrived, tx.packet.ack_next};
+  }
+  const auto by_time = [](const AckArrival& a, const AckArrival& b) { return a.when < b.when; };
+  if (!std::is_sorted(arrivals.begin(), arrivals.end(), by_time)) {
+    std::sort(arrivals.begin(), arrivals.end(), by_time);
+  }
+  // send_begin still holds per-slot send counts here.
+  const auto resent_slot = [this](SeqNo ack_next) {
+    const std::size_t slot = slots.find(ack_next);
+    return slot != trace::SeqSlots::kNone && send_begin[slot + 1] > 1 ? slot
+                                                                       : trace::SeqSlots::kNone;
+  };
+  for (const AckArrival& a : arrivals) {
+    const std::size_t slot = resent_slot(a.ack_next);
+    if (slot != trace::SeqSlots::kNone) ++ack_begin[slot + 1];
+  }
+  counts_to_offsets(ack_begin);
+  for (const AckArrival& a : arrivals) {
+    const std::size_t slot = resent_slot(a.ack_next);
+    if (slot != trace::SeqSlots::kNone) ack_times[ack_begin[slot]++] = a.when;
+  }
+  rewind_offsets(ack_begin);
+  counts_to_offsets(send_begin);
+}
+
+// One pass in capture order: fills the sends table and classifies each
+// re-send against the previous send of its seq.
+void FlowTables::classify(const AnalysisConfig& cfg) {
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    const std::uint32_t slot = slot_of[i];
+    const std::uint8_t state = slot_state[slot];
+    const std::uint32_t pos = send_begin[slot]++;
+    sends[pos] = static_cast<std::uint32_t>(i);
     const TimePoint t = txs[i].sent;
-    const auto prev = last_send_of.find(s);
-    if (prev != last_send_of.end()) {
-      if (!ack_arrived_just_before(arrivals, t, cfg.ack_trigger_window)) {
-        classes[i] = TxClass::kRtoRetx;
+    TxClass cls = TxClass::kFirstSend;
+    if ((state & kSlotSent) == 0) {
+      ++first_sends;
+      if (txs[i].lost()) ++first_sends_lost;
+    } else {
+      // Timer-driven unless some ACK arrived in (t - window, t].
+      const std::size_t after = first_arrival_after(arrivals, t);
+      if (after == 0 || !(arrivals[after - 1].when > t - cfg.ack_trigger_window)) {
+        cls = TxClass::kRtoRetx;
+        ++rto_count;
       } else {
-        // ACK-driven: fast retransmit iff enough duplicate ACKs for `s`
-        // arrived since the previous send of `s`.
-        const TimePoint prev_t = txs[prev->second].sent;
-        unsigned dupacks = 0;
-        for (std::size_t k = first_arrival_after(arrivals, prev_t);
-             k < arrivals.size() && arrivals[k].when <= t; ++k) {
-          if (arrivals[k].ack_next == s) ++dupacks;
+        // ACK-driven: fast retransmit iff enough duplicate ACKs for the seq
+        // arrived since its previous send.
+        const TimePoint prev_t = txs[sends[pos - 1]].sent;
+        if (dupacks(slot, prev_t, t) >= cfg.dupack_threshold) {
+          cls = TxClass::kFastRetx;
+          ++fast_count;
+        } else {
+          cls = TxClass::kAckDrivenResend;
         }
-        classes[i] = dupacks >= cfg.dupack_threshold ? TxClass::kFastRetx
-                                                     : TxClass::kAckDrivenResend;
       }
     }
-    last_send_of[s] = i;
+    tx_flags[i] = static_cast<std::uint8_t>(
+        static_cast<unsigned>(cls) | ((state & kSlotArrived) != 0 ? kEarlierCopyArrived : 0u));
+    slot_state[slot] = static_cast<std::uint8_t>(state | kSlotSent |
+                                                 (txs[i].arrived ? kSlotArrived : 0u));
   }
-  return classes;
+  rewind_offsets(send_begin);
 }
 
-}  // namespace
+// Groups RTO retransmissions into timeout sequences, in capture order of
+// their first retransmission; fills `out` (sized to t.rto_count, an upper
+// bound) and returns how many it holds.
+std::size_t collect_timeout_sequences(FlowTables& t, std::vector<TimeoutSequence>& out) {
+  const auto& txs = t.txs;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (t.class_of(i) != TxClass::kRtoRetx || (t.tx_flags[i] & kConsumed) != 0) continue;
 
-std::vector<std::size_t> find_rto_retransmissions(const trace::FlowCapture& capture,
-                                                  AnalysisConfig config) {
-  const auto arrivals = collect_ack_arrivals(capture);
-  const auto classes = classify_transmissions(capture, arrivals, config);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    if (classes[i] == TxClass::kRtoRetx) out.push_back(i);
-  }
-  return out;
-}
+    const SeqNo s = txs[i].packet.seq;
+    TimeoutSequence& seq_info = out[n++];
+    seq_info.seq = s;
+    seq_info.first_retx = txs[i].sent;
 
-unsigned count_fast_retransmissions(const trace::FlowCapture& capture,
-                                    AnalysisConfig config) {
-  const auto arrivals = collect_ack_arrivals(capture);
-  const auto classes = classify_transmissions(capture, arrivals, config);
-  unsigned n = 0;
-  for (const TxClass c : classes) {
-    if (c == TxClass::kFastRetx) ++n;
+    // The previous transmission of s is the original whose timer expired.
+    const std::size_t pos = t.position_of(i);
+    HSR_CHECK(pos > t.send_begin[t.slot_of[i]]);
+    seq_info.ca_end = txs[t.sends[pos - 1]].sent;
+
+    // Spurious iff any copy of s put on the wire before the first RTO
+    // retransmission actually reached the receiver.
+    seq_info.spurious = (t.tx_flags[i] & kEarlierCopyArrived) != 0;
+
+    // Recovery: first ACK arriving after the first retransmission that
+    // acknowledges past s.
+    TimePoint recovered = TimePoint::max();
+    for (std::size_t k = first_arrival_after(t.arrivals, seq_info.first_retx);
+         k < t.arrivals.size(); ++k) {
+      if (t.arrivals[k].ack_next > s) {
+        recovered = t.arrivals[k].when;
+        break;
+      }
+    }
+    seq_info.recovered_observed = recovered != TimePoint::max();
+    seq_info.recovered = seq_info.recovered_observed
+                             ? recovered
+                             : txs.back().sent;  // trace truncated mid-recovery
+
+    // All RTO retransmissions of s within [first_retx, recovered] belong to
+    // this sequence; count their fates.
+    TimePoint second_retx = TimePoint::max();
+    const std::size_t end = t.send_begin[t.slot_of[i] + 1];
+    for (std::size_t p = pos; p < end; ++p) {
+      const std::size_t idx = t.sends[p];
+      if (txs[idx].sent > seq_info.recovered) break;
+      if (t.class_of(idx) != TxClass::kRtoRetx) continue;
+      t.tx_flags[idx] |= kConsumed;
+      ++seq_info.num_timeouts;
+      ++seq_info.retx_sent;
+      if (seq_info.num_timeouts == 2) second_retx = txs[idx].sent;
+      if (txs[idx].lost()) ++seq_info.retx_lost;
+    }
+    if (second_retx != TimePoint::max()) {
+      seq_info.backoff_gap = second_retx - seq_info.first_retx;
+    }
   }
   return n;
 }
 
-double estimate_ack_burst_loss(const trace::FlowCapture& capture, Duration rtt) {
-  if (rtt <= Duration::zero()) return 0.0;
-  const auto& txs = capture.acks.transmissions();
-  if (txs.empty()) return 0.0;
-
-  // Bucket ACK transmissions into RTT-sized rounds anchored at the first
-  // ACK's send time; a round contributes when it contains at least one ACK.
-  const TimePoint origin = txs.front().sent;
-  std::map<std::int64_t, std::pair<unsigned, unsigned>> rounds;  // round -> (sent, lost)
-  for (const auto& tx : txs) {
-    const std::int64_t round = (tx.sent - origin).ns() / rtt.ns();
-    auto& [sent, lost] = rounds[round];
-    ++sent;
-    if (tx.lost()) ++lost;
+// Share of the RTT-sized rounds holding at least one ACK in which every ACK
+// was lost; `rounds` is scratch space, one entry per ACK.
+double all_lost_round_share(const std::vector<trace::Transmission>& acks, Duration rtt,
+                            std::vector<AckRound>& rounds) {
+  // Rounds are anchored at the first ACK's send time.
+  const TimePoint origin = acks.front().sent;
+  for (std::size_t k = 0; k < acks.size(); ++k) {
+    rounds[k] = {(acks[k].sent - origin).ns() / rtt.ns(), acks[k].lost()};
   }
-  unsigned with_acks = 0;
-  unsigned all_lost = 0;
-  for (const auto& [round, counts] : rounds) {
-    (void)round;
+  // A chronological capture yields its rounds in order already.
+  const auto by_round = [](const AckRound& a, const AckRound& b) { return a.round < b.round; };
+  if (!std::is_sorted(rounds.begin(), rounds.end(), by_round)) {
+    std::sort(rounds.begin(), rounds.end(), by_round);
+  }
+  std::uint64_t with_acks = 0;
+  std::uint64_t all_lost = 0;
+  for (std::size_t k = 0; k < rounds.size();) {
+    bool every_lost = true;
+    const std::int64_t round = rounds[k].round;
+    for (; k < rounds.size() && rounds[k].round == round; ++k) every_lost &= rounds[k].lost;
     ++with_acks;
-    if (counts.second == counts.first) ++all_lost;
+    if (every_lost) ++all_lost;
   }
-  return with_acks == 0 ? 0.0
-                        : static_cast<double>(all_lost) / static_cast<double>(with_acks);
+  return static_cast<double>(all_lost) / static_cast<double>(with_acks);
 }
+
+}  // namespace
 
 LossBreakdown loss_breakdown(const trace::FlowCapture& capture) {
   LossBreakdown out;
@@ -152,29 +313,44 @@ LossBreakdown loss_breakdown(const trace::FlowCapture& capture) {
   return out;
 }
 
+// HSR_HOT_PATH_END
+
+std::vector<std::size_t> find_rto_retransmissions(const trace::FlowCapture& capture,
+                                                  AnalysisConfig config) {
+  const FlowTables t(capture, config);
+  std::vector<std::size_t> out;
+  out.reserve(t.rto_count);
+  for (std::size_t i = 0; i < t.txs.size(); ++i) {
+    if (t.class_of(i) == TxClass::kRtoRetx) out.push_back(i);
+  }
+  return out;
+}
+
+unsigned count_fast_retransmissions(const trace::FlowCapture& capture,
+                                    AnalysisConfig config) {
+  return FlowTables(capture, config).fast_count;
+}
+
+double estimate_ack_burst_loss(const trace::FlowCapture& capture, Duration rtt) {
+  if (rtt <= Duration::zero()) return 0.0;
+  const auto& txs = capture.acks.transmissions();
+  if (txs.empty()) return 0.0;
+
+  std::vector<AckRound> rounds(txs.size());
+  return all_lost_round_share(txs, rtt, rounds);
+}
+
 FlowAnalysis analyze_flow(const trace::FlowCapture& capture, AnalysisConfig config) {
   FlowAnalysis out;
-  const auto& data_txs = capture.data.transmissions();
-  const auto arrivals = collect_ack_arrivals(capture);
-  const auto classes = classify_transmissions(capture, arrivals, config);
+  FlowTables t(capture, config);
 
   out.data_loss_rate = capture.data.loss_rate();
   out.ack_loss_rate = capture.acks.loss_rate();
-  {
-    // First-transmission loss rate: the first send of each distinct segment.
-    std::map<SeqNo, bool> seen_first;
-    std::uint64_t firsts = 0, firsts_lost = 0;
-    for (const auto& tx : data_txs) {
-      auto [it2, inserted] = seen_first.emplace(tx.packet.seq, true);
-      (void)it2;
-      if (!inserted) continue;
-      ++firsts;
-      if (tx.lost()) ++firsts_lost;
-    }
-    out.first_tx_loss_rate =
-        firsts == 0 ? 0.0 : static_cast<double>(firsts_lost) / static_cast<double>(firsts);
-    out.first_transmissions = firsts;
-  }
+  // First-transmission loss rate: the first send of each distinct segment.
+  out.first_tx_loss_rate = t.first_sends == 0 ? 0.0
+                                              : static_cast<double>(t.first_sends_lost) /
+                                                    static_cast<double>(t.first_sends);
+  out.first_transmissions = t.first_sends;
   out.unique_segments = capture.unique_segments_delivered();
   out.span = capture.span();
   out.mean_rtt = capture.estimated_rtt();
@@ -184,77 +360,11 @@ FlowAnalysis analyze_flow(const trace::FlowCapture& capture, AnalysisConfig conf
   out.mean_window_segments = out.goodput_pps * out.mean_rtt.to_seconds();
   out.ack_burst_loss_probability = estimate_ack_burst_loss(capture, out.mean_rtt);
 
-  for (const TxClass c : classes) {
-    if (c == TxClass::kFastRetx) ++out.fast_retransmits;
-  }
+  out.fast_retransmits = t.fast_count;
 
   // --- Timeout sequences -----------------------------------------------------
-  // Per segment: all transmission indices, in time order (captures are
-  // chronological per direction).
-  std::map<SeqNo, std::vector<std::size_t>> sends_of;
-  for (std::size_t i = 0; i < data_txs.size(); ++i) {
-    sends_of[data_txs[i].packet.seq].push_back(i);
-  }
-
-  std::vector<bool> consumed(data_txs.size(), false);
-  for (std::size_t i = 0; i < data_txs.size(); ++i) {
-    if (classes[i] != TxClass::kRtoRetx || consumed[i]) continue;
-
-    const SeqNo s = data_txs[i].packet.seq;
-    TimeoutSequence seq_info;
-    seq_info.seq = s;
-    seq_info.first_retx = data_txs[i].sent;
-
-    const auto& sends = sends_of[s];
-    // Previous transmission of s (the "original" whose timer expired).
-    const auto it = std::find(sends.begin(), sends.end(), i);
-    HSR_CHECK(it != sends.begin() && it != sends.end());
-    const std::size_t original_idx = *(it - 1);
-    seq_info.ca_end = data_txs[original_idx].sent;
-
-    // Spurious iff any copy of s put on the wire before the first RTO
-    // retransmission actually reached the receiver.
-    for (auto jt = sends.begin(); jt != it; ++jt) {
-      if (data_txs[*jt].arrived) {
-        seq_info.spurious = true;
-        break;
-      }
-    }
-
-    // Recovery: first ACK arriving after the first retransmission that
-    // acknowledges past s.
-    TimePoint recovered = TimePoint::max();
-    for (std::size_t k = first_arrival_after(arrivals, seq_info.first_retx);
-         k < arrivals.size(); ++k) {
-      if (arrivals[k].ack_next > s) {
-        recovered = arrivals[k].when;
-        break;
-      }
-    }
-    seq_info.recovered_observed = recovered != TimePoint::max();
-    seq_info.recovered = seq_info.recovered_observed
-                             ? recovered
-                             : (data_txs.back().sent);  // trace truncated mid-recovery
-
-    // All RTO retransmissions of s within [first_retx, recovered] belong to
-    // this sequence; count their fates.
-    TimePoint second_retx = TimePoint::max();
-    for (auto jt = it; jt != sends.end(); ++jt) {
-      const std::size_t idx = *jt;
-      if (data_txs[idx].sent > seq_info.recovered) break;
-      if (classes[idx] != TxClass::kRtoRetx) continue;
-      consumed[idx] = true;
-      ++seq_info.num_timeouts;
-      ++seq_info.retx_sent;
-      if (seq_info.num_timeouts == 2) second_retx = data_txs[idx].sent;
-      if (data_txs[idx].lost()) ++seq_info.retx_lost;
-    }
-    if (second_retx != TimePoint::max()) {
-      seq_info.backoff_gap = second_retx - seq_info.first_retx;
-    }
-    out.timeout_sequences.push_back(std::move(seq_info));
-  }
-
+  out.timeout_sequences.resize(t.rto_count);
+  out.timeout_sequences.resize(collect_timeout_sequences(t, out.timeout_sequences));
   std::sort(out.timeout_sequences.begin(), out.timeout_sequences.end(),
             [](const TimeoutSequence& a, const TimeoutSequence& b) {
               return a.first_retx < b.first_retx;

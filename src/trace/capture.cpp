@@ -1,7 +1,6 @@
 #include "trace/capture.h"
 
 #include <algorithm>
-#include <set>
 
 #include "util/logging.h"
 
@@ -97,12 +96,54 @@ SeqNo FlowCapture::highest_delivered_seq() const {
   return best;
 }
 
-std::uint64_t FlowCapture::unique_segments_delivered() const {
-  std::set<SeqNo> seen;
-  for (const auto& tx : data.transmissions()) {
-    if (tx.arrived) seen.insert(tx.packet.seq);
+SeqSlots::SeqSlots(const std::vector<Transmission>& txs) {
+  if (txs.empty()) return;
+  SeqNo lo = txs.front().packet.seq;
+  SeqNo hi = lo;
+  for (const auto& tx : txs) {
+    lo = std::min(lo, tx.packet.seq);
+    hi = std::max(hi, tx.packet.seq);
   }
-  return seen.size();
+  min_ = lo;
+  if (hi - lo < 2 * static_cast<std::uint64_t>(txs.size())) {
+    size_ = static_cast<std::size_t>(hi - lo) + 1;
+    return;
+  }
+  sparse_.resize(txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) sparse_[i] = txs[i].packet.seq;
+  std::sort(sparse_.begin(), sparse_.end());
+  sparse_.erase(std::unique(sparse_.begin(), sparse_.end()), sparse_.end());
+  size_ = sparse_.size();
+}
+
+std::size_t SeqSlots::rank(SeqNo seq) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(sparse_.begin(), sparse_.end(), seq) - sparse_.begin());
+}
+
+std::size_t SeqSlots::find(SeqNo seq) const {
+  if (sparse_.empty()) {
+    const SeqNo offset = seq - min_;  // wraps above size_ when seq < min_
+    return offset < size_ ? static_cast<std::size_t>(offset) : kNone;
+  }
+  const std::size_t r = rank(seq);
+  return r < size_ && sparse_[r] == seq ? r : kNone;
+}
+
+std::uint64_t FlowCapture::unique_segments_delivered() const {
+  const auto& txs = data.transmissions();
+  const SeqSlots slots(txs);
+  std::vector<std::uint8_t> delivered(slots.size(), 0);
+  std::uint64_t unique = 0;
+  // HSR_HOT_PATH_BEGIN — one slot lookup and one byte per transmission.
+  for (const auto& tx : txs) {
+    if (!tx.arrived) continue;
+    std::uint8_t& seen = delivered[slots.slot(tx.packet.seq)];
+    if (seen == 0) ++unique;
+    seen = 1;
+  }
+  // HSR_HOT_PATH_END
+  return unique;
 }
 
 Duration FlowCapture::span() const {

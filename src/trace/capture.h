@@ -99,6 +99,35 @@ class DirectionCapture final : public net::LinkTap {
   std::uint64_t lost_ = 0;
 };
 
+// Dense index over the distinct seqs that one direction's transmissions
+// carry: slot(seq) lies in [0, size()). The simulator numbers segments from
+// 1 without gaps, so a capture's seqs span no more values than it holds
+// transmissions and a slot is just seq - min. Seqs spread wider than twice
+// the transmission count (a hand-written or hostile capture: seqs near
+// 2^63) get a sorted table of the distinct seqs instead, so memory stays
+// O(transmissions) whatever the span.
+class SeqSlots {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  explicit SeqSlots(const std::vector<Transmission>& txs);
+
+  std::size_t size() const { return size_; }
+  // Slot of a seq that some transmission carries.
+  std::size_t slot(SeqNo seq) const {
+    return sparse_.empty() ? static_cast<std::size_t>(seq - min_) : rank(seq);
+  }
+  // Slot of `seq` (dense: any seq in [min, min + size)), or kNone.
+  std::size_t find(SeqNo seq) const;
+
+ private:
+  std::size_t rank(SeqNo seq) const;
+
+  SeqNo min_ = 0;
+  std::size_t size_ = 0;
+  std::vector<SeqNo> sparse_;  // distinct seqs, ascending; empty when dense
+};
+
 // Both directions of one flow.
 struct FlowCapture {
   net::FlowId flow = 0;

@@ -31,6 +31,13 @@ constexpr std::size_t kMaxReadChunk = std::size_t{1} << 20;  // 1 MiB
 // id beyond this bound is a decode gone off the rails; rejecting it keeps a
 // corrupt column from resizing the id index into oblivion.
 constexpr std::uint64_t kMaxPlausiblePacketId = std::uint64_t{1} << 40;
+// Least bytes one record takes in a flow payload: four of a direction's
+// columns (ids, seqs, ack numbers, send times) are varints of at least one
+// byte per transmission; a fault record holds three tag bytes and six
+// varints. A count claiming more records than the bytes left can hold is
+// corruption, rejected before any column is sized from it.
+constexpr std::uint64_t kMinTransmissionBytes = 4;
+constexpr std::uint64_t kMinFaultRecordBytes = 9;
 
 // --- little-endian / varint primitives ---------------------------------------
 
@@ -122,6 +129,7 @@ struct Cursor {
   }
 
   bool done() const { return !fail && p == end; }
+  std::uint64_t remaining() const { return static_cast<std::uint64_t>(end - p); }
 };
 
 // --- flow frame payload -------------------------------------------------------
@@ -234,6 +242,9 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
   if (c.fail || n > kMaxPlausiblePacketId) {
     return frame_error(frame, "bad transmission count");
   }
+  if (n > c.remaining() / kMinTransmissionBytes) {
+    return frame_error(frame, "transmission count exceeds the bytes present");
+  }
   const std::size_t count = static_cast<std::size_t>(n);
 
   // Columns are decoded into flat scratch vectors first, then replayed
@@ -334,6 +345,9 @@ util::Status decode_flow_payload(const std::string& payload, std::uint64_t frame
   const std::uint64_t fault_count = c.get_varint();
   if (c.fail || fault_count > kMaxPlausiblePacketId) {
     return frame_error(frame, "bad fault count");
+  }
+  if (fault_count > c.remaining() / kMinFaultRecordBytes) {
+    return frame_error(frame, "fault count exceeds the bytes present");
   }
   cap.faults.reserve(static_cast<std::size_t>(fault_count));
   std::uint64_t prev_when = 0;

@@ -2,8 +2,9 @@
 // Endpoint-shaped fixture for the TCP hot regions (sender.cpp /
 // receiver.cpp): the flat scoreboard/ring idiom (mark, test, rank, at) is
 // allocation-free and stays quiet; the node-based constructs the rewrite
-// removed (std::set insert, std::map operator[], std::function callbacks)
-// fire; the pre-sized diagnostic appends opt out with the audited marker.
+// removed (any std::set/std::map named in the region, their insert/emplace,
+// std::function callbacks) fire; the pre-sized diagnostic appends opt out
+// with the audited marker.
 #include <functional>
 #include <map>
 #include <set>
@@ -34,8 +35,8 @@ inline void on_ack_flat(Board& sacked, Ring& segments, unsigned long seq,
   cwnd_trace.push_back(cwnd);  // hsr-lint-ok: pre-sized by reserve_for
 }
 
-inline void on_ack_nodes(std::set<unsigned long>& sacked,
-                         std::map<unsigned long, Info>& segments,
+inline void on_ack_nodes(std::set<unsigned long>& sacked,           // expect: hot-alloc
+                         std::map<unsigned long, Info>& segments,   // expect: hot-alloc
                          unsigned long seq) {
   sacked.insert(seq);                              // expect: hot-alloc
   segments.emplace(seq, Info{});                   // expect: hot-alloc

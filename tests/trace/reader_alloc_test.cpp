@@ -58,5 +58,61 @@ TEST(ReaderAllocTest, FlippedFrameSizeCostsAboutTheBytesPresent) {
   }
 }
 
+void put_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+  out.push_back(static_cast<char>(v));
+}
+
+// A one-frame file around `payload`, with a valid CRC: only the decoder's
+// own checks stand between a hostile count and the allocator.
+std::string file_with_flow_payload(const std::string& payload) {
+  std::ostringstream os;
+  write_binary_trace_header(os, 1);
+  std::string frame;
+  encode_raw_frame('F', payload, /*seq=*/0, frame);
+  os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  return os.str();
+}
+
+TEST(ReaderAllocTest, HostileRecordCountsAreNamedErrorsNotAllocations) {
+  // Flow 1, then a count of 2^39 where the bytes left hold a few records:
+  // first as the data direction's transmission count, then as the fault
+  // count after two empty directions.
+  std::string padding(64, '\0');
+  std::string claims_transmissions;
+  put_varint(claims_transmissions, 1);
+  put_varint(claims_transmissions, std::uint64_t{1} << 39);
+  claims_transmissions += padding;
+  std::string claims_faults;
+  put_varint(claims_faults, 1);
+  put_varint(claims_faults, 0);
+  put_varint(claims_faults, 0);
+  put_varint(claims_faults, std::uint64_t{1} << 39);
+  claims_faults += padding;
+
+  for (const auto& [payload, why] :
+       {std::pair<std::string, const char*>{claims_transmissions,
+                                            "transmission count exceeds the bytes present"},
+        std::pair<std::string, const char*>{claims_faults,
+                                            "fault count exceeds the bytes present"}}) {
+    const std::string bytes = file_with_flow_payload(payload);
+    std::istringstream in(bytes);
+    std::uint64_t allocated = 0;
+    {
+      AllocProbe::Scope scope;
+      const auto corpus = read_binary_corpus(in);
+      allocated = scope.bytes_delta();
+      ASSERT_FALSE(corpus.is_ok()) << why;
+      EXPECT_NE(corpus.status().message().find(why), std::string::npos)
+          << corpus.status().to_string();
+      EXPECT_NE(corpus.status().message().find("frame 0"), std::string::npos)
+          << corpus.status().to_string();
+    }
+    EXPECT_LE(allocated, 64 * bytes.size())
+        << why << ": " << allocated << " bytes allocated for a " << bytes.size()
+        << "-byte input";
+  }
+}
+
 }  // namespace
 }  // namespace hsr::trace

@@ -33,8 +33,9 @@ pluggable rule framework. Five rule families ship today:
                  cannot be layer-checked and are rejected inside src/.
 
   hotpath        named allocation constructs (`new`, make_unique/shared,
-                 push_back/emplace/insert/resize/reserve, std::function)
-                 are banned between `HSR_HOT_PATH_BEGIN` and
+                 push_back/emplace/insert/resize/reserve, std::function,
+                 node-based containers: std::map/set/list and their
+                 multi/unordered kin) are banned between `HSR_HOT_PATH_BEGIN` and
                  `HSR_HOT_PATH_END` comment markers — the EventQueue / Link
                  / Timer regions whose zero-allocation behaviour PR 5's
                  alloc probe pins dynamically are annotated, so an
@@ -739,6 +740,11 @@ HOT_BANNED_CALLS = {
     "reserve": "allocation",
 }
 HOT_BANNED_TYPES_RE = re.compile(r"std::function\b")
+# Node-based containers allocate per element: a region that names one has
+# brought back the per-packet allocation the markers exist to keep out.
+HOT_NODE_CONTAINER_RE = re.compile(
+    r"std::(?:multi)?(?:map|set)\b|std::unordered_(?:multi)?(?:map|set)\b|"
+    r"std::(?:forward_)?list\b")
 
 
 def hot_regions(raw_lines: list[str]) -> tuple[list[tuple[int, int]], list[Diagnostic] | None]:
@@ -814,6 +820,11 @@ class HotPathRule(Rule):
                 yield from report(qn.line, "std::function",
                                   "type-erased callable may heap-allocate; "
                                   "use util::InlineFunction")
+            node = HOT_NODE_CONTAINER_RE.search(resolved)
+            if node:
+                yield from report(qn.line, node.group(0),
+                                  "node-based container allocates per element; "
+                                  "use a flat, pre-sized table")
 
 
 # --- ioseam family -----------------------------------------------------------
