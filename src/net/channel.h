@@ -24,13 +24,13 @@ namespace hsr::net {
 
 // WHY a packet died: the category of the mechanism that killed it. The
 // queue category comes from the Link (DropTail overflow); every other
-// category is produced by a channel class. kChannelUnattributed only
-// appears when re-reading v1 trace archives, whose 'C' drop code predates
-// cause attribution; live simulations always attribute finer than that.
+// category is produced by a channel class. kChannelUnattributed (text code
+// 'C', b2 code 2) names a channel loss whose cause was not recorded; live
+// simulations always attribute finer than that, but archives may carry it.
 enum class DropCategory : std::uint8_t {
   kUnknown = 0,             // no attribution recorded at all
   kQueueOverflow = 1,       // DropTail queue full at enqueue
-  kChannelUnattributed = 2, // legacy archives: channel loss, cause unrecorded
+  kChannelUnattributed = 2, // channel loss, cause not recorded
   kBernoulli = 3,           // BernoulliChannel i.i.d. loss
   kGilbertElliottGood = 4,  // Gilbert–Elliott loss drawn in the GOOD state
   kGilbertElliottBad = 5,   // Gilbert–Elliott loss drawn in the BAD state

@@ -79,7 +79,7 @@ void Link::send(Packet packet) {
   Endpoint& ep = endpoint(packet.flow);
   ++stats_.sent;
   ++ep.stats.sent;
-  if (ep.tap != nullptr) ep.tap->on_send(packet, now);
+  packet.tap_slot = ep.tap != nullptr ? ep.tap->on_send(packet, now) : 0;
 
   prune_departures();
   if (departures_.size() >= config_.queue_capacity) {

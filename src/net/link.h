@@ -23,11 +23,17 @@ namespace hsr::net {
 
 // Observer of everything that happens on a link. The trace module implements
 // this to play the role of a wireshark capture at each endpoint.
+//
+// The tap-slot contract: on_send returns an opaque token, the link stores it
+// in Packet::tap_slot, and every fate report of that send (its drop, or each
+// delivered copy, duplicates included) carries it back. A tap thus finds its
+// own record for the packet without any lookup keyed by packet id.
 class LinkTap {
  public:
   virtual ~LinkTap() = default;
   // Packet handed to the link by the sender (seen at the sender's NIC).
-  virtual void on_send(const Packet& packet, TimePoint when) = 0;
+  // Returns the token the fate reports of this send will carry.
+  virtual std::uint32_t on_send(const Packet& packet, TimePoint when) = 0;
   // Packet dropped (queue or channel); never delivered. `cause` is the
   // structured attribution — category plus composite-component / scripted-
   // directive indices — produced by the Link (queue overflow) or the
@@ -110,7 +116,7 @@ class Link {
   // never registered.
   const LinkStats& endpoint_stats(FlowId flow) const;
 
-  // Hands a packet to the link; the link stamps `sent_at`.
+  // Hands a packet to the link; the link stamps `sent_at` and `tap_slot`.
   void send(Packet packet);
 
   const LinkStats& stats() const { return stats_; }

@@ -5,11 +5,10 @@
 namespace hsr::net {
 
 namespace {
-// Thread-local: ids are only join keys within one flow's capture, and a
-// flow (or one simulator's set of subflows) runs entirely on one thread,
-// so per-thread uniqueness suffices. Sharding parallel experiments across
-// a pool therefore neither races here nor lets thread interleaving bleed
-// into any analysis output.
+// Thread-local: a flow (or one simulator's set of subflows) runs entirely
+// on one thread, so per-thread uniqueness suffices. Sharding parallel
+// experiments across a pool therefore neither races here nor lets thread
+// interleaving bleed into any analysis output.
 thread_local std::uint64_t next_packet_id = 1;
 }  // namespace
 

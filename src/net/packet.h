@@ -34,6 +34,10 @@ struct Packet {
   SeqNo ack_next = 0;
 
   std::uint32_t size_bytes = 0;
+  // The token the link's tap returned from on_send, handed back with the
+  // packet's fate (see LinkTap). Opaque to everyone but that tap; it fills
+  // the padding after size_bytes, so the packet stays 128 bytes.
+  std::uint32_t tap_slot = 0;
   TimePoint sent_at;
 
   // Retransmission bookkeeping (ground truth used to validate the
@@ -54,12 +58,14 @@ struct Packet {
 
   std::string describe() const;
 };
+static_assert(sizeof(Packet) == 128, "tap_slot must not grow the packet");
 
-// Thread-local unique packet id source. Ids are only used as join keys when
-// matching capture records (send vs deliver) within one flow's capture;
-// uniqueness per thread is all that is required, since a simulation run
-// never spans threads. Keeping the counter thread-local lets experiment
-// shards run in parallel without races or cross-shard id coupling.
+// Thread-local unique packet id source. An id is data that captures and
+// fault audit records carry, not a join key: a tap finds a packet's record
+// through tap_slot. Uniqueness per thread is all that is required, since a
+// simulation run never spans threads. Keeping the counter thread-local lets
+// experiment shards run in parallel without races or cross-shard id
+// coupling.
 std::uint64_t allocate_packet_id();
 
 // Rewinds this thread's counter to 1. Call at the start of each independent

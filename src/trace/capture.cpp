@@ -1,6 +1,7 @@
 #include "trace/capture.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -29,51 +30,42 @@ void FlowCapture::reserve_for(Duration duration, double data_rate_bps,
   acks.reserve(data_reserve);
 }
 
-void FlowCapture::reserve_id_space(std::size_t expected_ids) {
-  data.reserve_ids(expected_ids);
-  acks.reserve_ids(expected_ids);
-}
-
 void DirectionCapture::reserve(std::size_t expected_transmissions) {
   txs_.reserve(expected_transmissions);
-  // Ids are drawn from one per-flow counter shared by both directions, so
-  // the id index spans roughly twice this direction's own traffic.
-  index_of_id_.reserve(expected_transmissions * 2);
 }
 
-void DirectionCapture::reserve_ids(std::size_t expected_ids) {
-  index_of_id_.reserve(expected_ids);
-}
-
-void DirectionCapture::on_send(const Packet& packet, TimePoint when) {
+// HSR_HOT_PATH_BEGIN — one append per send and one indexed write per fate:
+// no lookup table, nothing keyed by packet id.
+std::uint32_t DirectionCapture::on_send(const Packet& packet, TimePoint when) {
+  HSR_CHECK_MSG(txs_.size() < std::numeric_limits<std::uint32_t>::max(),
+                "capture direction outgrew its 32-bit tap slots");
+  const auto slot = static_cast<std::uint32_t>(txs_.size());
   // Record in place: no Transmission temporary on the per-packet path.
-  if (packet.id >= index_of_id_.size()) {
-    index_of_id_.resize(packet.id + 1, 0);
-  }
-  index_of_id_[packet.id] = txs_.size() + 1;
-  Transmission& tx = txs_.emplace_back();
+  Transmission& tx = txs_.emplace_back();  // hsr-lint-ok: pre-sized by reserve_for
   tx.packet = packet;
   tx.sent = when;
+  return slot;
 }
 
-std::size_t DirectionCapture::index_of(std::uint64_t packet_id) const {
-  const std::size_t slot =
-      packet_id < index_of_id_.size() ? index_of_id_[packet_id] : 0;
-  HSR_CHECK_MSG(slot != 0, "fate report for unseen packet");
-  return slot - 1;
+Transmission& DirectionCapture::record_of(const Packet& packet) {
+  HSR_CHECK_MSG(packet.tap_slot < txs_.size(), "fate report for unseen packet");
+  Transmission& tx = txs_[packet.tap_slot];
+  HSR_CHECK_MSG(tx.packet.id == packet.id, "fate report names another packet's slot");
+  return tx;
 }
 
 void DirectionCapture::on_drop(const Packet& packet, TimePoint when,
                                const DropCause& cause) {
   (void)when;
-  txs_[index_of(packet.id)].drop_cause = cause;
+  record_of(packet).drop_cause = cause;
   ++lost_;
 }
 
 void DirectionCapture::on_deliver(const Packet& packet, TimePoint sent, TimePoint arrived) {
   (void)sent;
-  txs_[index_of(packet.id)].arrived = arrived;
+  record_of(packet).arrived = arrived;
 }
+// HSR_HOT_PATH_END
 
 Duration DirectionCapture::mean_transit() const {
   std::int64_t total_ns = 0;

@@ -27,10 +27,6 @@ constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 36;  // 64 GiB
 // arrived, not with the frame's claimed size.
 constexpr std::size_t kMinReadChunk = std::size_t{4} << 10;  // 4 KiB
 constexpr std::size_t kMaxReadChunk = std::size_t{1} << 20;  // 1 MiB
-// Ids are dense per flow (net::reset_packet_ids runs at flow start), so an
-// id beyond this bound is a decode gone off the rails; rejecting it keeps a
-// corrupt column from resizing the id index into oblivion.
-constexpr std::uint64_t kMaxPlausiblePacketId = std::uint64_t{1} << 40;
 // Least bytes one record takes in a flow payload: four of a direction's
 // columns (ids, seqs, ack numbers, send times) are varints of at least one
 // byte per transmission; a fault record holds three tag bytes and six
@@ -239,17 +235,20 @@ bool get_rle(Cursor& c, std::vector<std::uint64_t>& out) {
 util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
                               net::FlowId flow, DirectionCapture& cap) {
   const std::uint64_t n = c.get_varint();
-  if (c.fail || n > kMaxPlausiblePacketId) {
-    return frame_error(frame, "bad transmission count");
-  }
+  if (c.fail) return frame_error(frame, "bad transmission count");
   if (n > c.remaining() / kMinTransmissionBytes) {
     return frame_error(frame, "transmission count exceeds the bytes present");
+  }
+  // A capture direction addresses its records through 32-bit tap slots.
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    return frame_error(frame, "transmission count exceeds the tap slots");
   }
   const std::size_t count = static_cast<std::size_t>(n);
 
   // Columns are decoded into flat scratch vectors first, then replayed
   // through the capture's own on_send/on_deliver/on_drop so every derived
-  // counter (lost totals, id index) is rebuilt exactly as live taps build it.
+  // counter (lost totals) is rebuilt exactly as live taps build it. Ids are
+  // plain data: each fate reaches its record through the tap slot.
   std::vector<std::uint64_t> ids(count);
   std::vector<std::uint64_t> seqs(count);
   std::vector<std::uint64_t> acks(count);
@@ -272,11 +271,9 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
   if (c.fail) return frame_error(frame, "truncated transmission columns");
 
   cap.reserve(count);
+  const std::size_t first_slot = cap.transmissions().size();
   std::uint64_t prev_transit = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    if (ids[i] > kMaxPlausiblePacketId) {
-      return frame_error(frame, "implausible packet id");
-    }
     Packet p;
     p.id = ids[i];
     p.flow = flow;
@@ -291,7 +288,7 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
     p.is_retransmission = p.retx_count > 0;
 
     const TimePoint sent_at = TimePoint::from_ns(static_cast<std::int64_t>(sent[i]));
-    cap.on_send(p, sent_at);
+    p.tap_slot = cap.on_send(p, sent_at);
     if (fates[i] == 1) {
       const std::uint64_t transit = c.get_delta(prev_transit);
       cap.on_deliver(p, sent_at,
@@ -320,8 +317,10 @@ util::Status decode_direction(Cursor& c, std::uint64_t frame, char dir,
     cause.directive = static_cast<std::int32_t>(c.get_varint()) - 1;
     if (c.fail) return frame_error(frame, "truncated drop causes");
 
+    // Drop causes follow in record order: record i is slot first_slot + i.
     Packet p;
     p.id = ids[i];
+    p.tap_slot = static_cast<std::uint32_t>(first_slot + i);
     cap.on_drop(p, TimePoint::from_ns(static_cast<std::int64_t>(sent[i])), cause);
   }
   if (c.fail) return frame_error(frame, "truncated direction section");
@@ -343,9 +342,7 @@ util::Status decode_flow_payload(const std::string& payload, std::uint64_t frame
   if (!status.is_ok()) return status;
 
   const std::uint64_t fault_count = c.get_varint();
-  if (c.fail || fault_count > kMaxPlausiblePacketId) {
-    return frame_error(frame, "bad fault count");
-  }
+  if (c.fail) return frame_error(frame, "bad fault count");
   if (fault_count > c.remaining() / kMinFaultRecordBytes) {
     return frame_error(frame, "fault count exceeds the bytes present");
   }
@@ -405,17 +402,12 @@ util::Status decode_quarantine_payload(const std::string& payload, std::uint64_t
   return util::Status::ok();
 }
 
+// [type][crc32c][seq][size][payload]; the CRC covers everything after its
+// own field, so a corrupted length cannot silently misframe the rest of the
+// file.
 void append_frame(char type, std::string_view payload, std::uint64_t seq,
-                  int version, std::string& out) {
+                  std::string& out) {
   put_u8(out, static_cast<std::uint8_t>(type));
-  if (version == 1) {
-    put_u64le(out, payload.size());
-    out.append(payload);
-    return;
-  }
-  // v2: [type][crc32c][seq][size][payload]; the CRC covers everything after
-  // its own field, so a corrupted length cannot silently misframe the rest
-  // of the file.
   const std::size_t crc_pos = out.size();
   put_u32le(out, 0);  // patched below
   const std::size_t seq_pos = out.size();
@@ -442,38 +434,36 @@ std::string hex32(std::uint32_t v) {
 
 }  // namespace
 
-void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count,
-                               int version) {
+void write_binary_trace_header(std::ostream& os, std::uint64_t flow_count) {
   std::string header;
-  header.append(version == 1 ? kBinaryTraceMagicB1 : kBinaryTraceMagic,
-                kBinaryTraceMagicSize);
+  header.append(kBinaryTraceMagic, kBinaryTraceMagicSize);
   put_u64le(header, flow_count);
   os.write(header.data(), static_cast<std::streamsize>(header.size()));
 }
 
 void encode_flow_frame(const FlowCapture& capture, std::uint64_t seq,
-                       std::string& out, int version) {
+                       std::string& out) {
   out.clear();
   std::string payload;
   encode_flow_payload(capture, payload);
   out.reserve(payload.size() + 21);
-  append_frame(kFlowFrame, payload, seq, version, out);
+  append_frame(kFlowFrame, payload, seq, out);
 }
 
 void encode_quarantine_frame(const QuarantineRecord& record, std::uint64_t seq,
-                             std::string& out, int version) {
+                             std::string& out) {
   out.clear();
   std::string payload;
   encode_quarantine_payload(record, payload);
   out.reserve(payload.size() + 21);
-  append_frame(kQuarantineFrame, payload, seq, version, out);
+  append_frame(kQuarantineFrame, payload, seq, out);
 }
 
 void encode_raw_frame(char type, std::string_view payload, std::uint64_t seq,
                       std::string& out) {
   out.clear();
   out.reserve(payload.size() + 21);
-  append_frame(type, payload, seq, kBinaryTraceVersion, out);
+  append_frame(type, payload, seq, out);
 }
 
 util::Status decode_quarantine_frame_payload(const std::string& payload,
@@ -482,30 +472,24 @@ util::Status decode_quarantine_frame_payload(const std::string& payload,
 }
 
 void write_flow_frame(std::ostream& os, const FlowCapture& capture,
-                      std::uint64_t seq, int version) {
+                      std::uint64_t seq) {
   std::string frame;
-  encode_flow_frame(capture, seq, frame, version);
+  encode_flow_frame(capture, seq, frame);
   os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
 }
 
 void write_quarantine_frame(std::ostream& os, const QuarantineRecord& record,
-                            std::uint64_t seq, int version) {
+                            std::uint64_t seq) {
   std::string frame;
-  encode_quarantine_frame(record, seq, frame, version);
+  encode_quarantine_frame(record, seq, frame);
   os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
 }
 
 util::Status BinaryTraceReader::open() {
   char magic[kBinaryTraceMagicSize] = {};
   is_.read(magic, kBinaryTraceMagicSize);
-  if (is_.gcount() != static_cast<std::streamsize>(kBinaryTraceMagicSize)) {
-    return util::Status::invalid_argument("not an hsrtrace stream (bad magic)");
-  }
-  if (std::memcmp(magic, kBinaryTraceMagic, kBinaryTraceMagicSize) == 0) {
-    version_ = 2;
-  } else if (std::memcmp(magic, kBinaryTraceMagicB1, kBinaryTraceMagicSize) == 0) {
-    version_ = 1;
-  } else {
+  if (is_.gcount() != static_cast<std::streamsize>(kBinaryTraceMagicSize) ||
+      std::memcmp(magic, kBinaryTraceMagic, kBinaryTraceMagicSize) != 0) {
     return util::Status::invalid_argument("not an hsrtrace stream (bad magic)");
   }
   unsigned char count[8] = {};
@@ -525,12 +509,11 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   char type = 0;
   if (!is_.get(type)) return Frame::kEnd;
 
-  // v1: [size8]; v2: [crc4][seq8][size8]. Short header reads are a torn
-  // tail, exactly like a short payload read.
+  // [crc4][seq8][size8]. A short header read is a torn tail, exactly like a
+  // short payload read.
   unsigned char head[20] = {};
-  const std::size_t head_size = version_ == 1 ? 8 : 20;
-  is_.read(reinterpret_cast<char*>(head), static_cast<std::streamsize>(head_size));
-  if (is_.gcount() != static_cast<std::streamsize>(head_size)) {
+  is_.read(reinterpret_cast<char*>(head), sizeof head);
+  if (is_.gcount() != static_cast<std::streamsize>(sizeof head)) {
     torn_ = true;
     return Frame::kTorn;
   }
@@ -538,10 +521,8 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   std::uint64_t stored_seq = 0;
   std::uint64_t payload_size = 0;
   const unsigned char* p = head;
-  if (version_ != 1) {
-    for (int i = 0; i < 4; ++i) stored_crc |= static_cast<std::uint32_t>(*p++) << (8 * i);
-    for (int i = 0; i < 8; ++i) stored_seq |= static_cast<std::uint64_t>(*p++) << (8 * i);
-  }
+  for (int i = 0; i < 4; ++i) stored_crc |= static_cast<std::uint32_t>(*p++) << (8 * i);
+  for (int i = 0; i < 8; ++i) stored_seq |= static_cast<std::uint64_t>(*p++) << (8 * i);
   for (int i = 0; i < 8; ++i) payload_size |= static_cast<std::uint64_t>(*p++) << (8 * i);
 
   const std::uint64_t frame_index = frames_read_++;
@@ -569,21 +550,18 @@ util::StatusOr<BinaryTraceReader::Frame> BinaryTraceReader::read_frame() {
   }
   payload_.resize(have);
 
-  if (version_ != 1) {
-    std::uint32_t crc = util::crc32c(0, &type, 1);
-    crc = util::crc32c(crc, head + 4, 16);  // seq + size as read off the wire
-    crc = util::crc32c(crc, payload_.data(), payload_.size());
-    if (crc != stored_crc) {
-      return frame_error(frame_index, "crc32c mismatch (stored " +
-                                          hex32(stored_crc) + ", computed " +
-                                          hex32(crc) + ")");
-    }
-    if (stored_seq != frame_index) {
-      // A valid checksum with the wrong ordinal means frames were spliced,
-      // dropped or reordered — corruption the CRC alone cannot see.
-      return frame_error(frame_index, "sequence mismatch (frame carries seq " +
-                                          std::to_string(stored_seq) + ")");
-    }
+  std::uint32_t crc = util::crc32c(0, &type, 1);
+  crc = util::crc32c(crc, head + 4, 16);  // seq + size as read off the wire
+  crc = util::crc32c(crc, payload_.data(), payload_.size());
+  if (crc != stored_crc) {
+    return frame_error(frame_index, "crc32c mismatch (stored " + hex32(stored_crc) +
+                                        ", computed " + hex32(crc) + ")");
+  }
+  if (stored_seq != frame_index) {
+    // A valid checksum with the wrong ordinal means frames were spliced,
+    // dropped or reordered — corruption the CRC alone cannot see.
+    return frame_error(frame_index, "sequence mismatch (frame carries seq " +
+                                        std::to_string(stored_seq) + ")");
   }
   type_ = type;
   return Frame::kOther;  // a complete, verified frame is in type_/payload_
@@ -716,7 +694,6 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
   if (!status.is_ok()) return status;
 
   TraceVerifyReport report;
-  report.version = reader.version();
   report.declared_flow_count = reader.declared_flow_count();
   char type = 0;
   std::string payload;
@@ -727,8 +704,7 @@ util::StatusOr<TraceVerifyReport> verify_trace_file(const std::string& path) {
     switch (frame.value()) {
       case BinaryTraceReader::Frame::kFlow: {
         // Raw integrity passed; decode the columns too, so a corrupt
-        // payload that happens to carry a stale CRC cannot hide (and v1
-        // frames, which have no CRC, get their only deep check here).
+        // payload that happens to carry a valid CRC cannot hide.
         FlowCapture flow;
         status = decode_flow_payload(payload, reader.frames_read() - 1, flow);
         if (!status.is_ok()) return status;

@@ -11,7 +11,6 @@ namespace hsr::trace {
 namespace {
 
 constexpr const char* kMagicV2 = "hsrtrace-v2";
-constexpr const char* kMagicV1 = "hsrtrace-v1";
 
 using net::DropCategory;
 
@@ -106,10 +105,7 @@ util::Status line_error(std::size_t line_number, const std::string& token,
       token + "')");
 }
 
-// Parses a v2 drop token into an optional cause. v1 archives use the same
-// single-character subset ('-', 'Q', 'C'), so one parser serves both: the
-// version only gates which codes a WRITER may emit, and 'C' simply decodes
-// to the legacy unattributed category.
+// Parses a drop token into an optional cause.
 bool parse_drop_token(const std::string& token, std::optional<net::DropCause>& out) {
   if (token.empty()) return false;
   if (token == "-") {
@@ -193,7 +189,7 @@ util::Status parse_transmission(const std::vector<std::string>& tokens,
   p.is_retransmission = retx > 0;
 
   DirectionCapture& target = (dir == 'D') ? cap.data : cap.acks;
-  target.on_send(p, TimePoint::from_ns(sent_ns));
+  p.tap_slot = target.on_send(p, TimePoint::from_ns(sent_ns));
   if (arrived_ns >= 0) {
     target.on_deliver(p, TimePoint::from_ns(sent_ns), TimePoint::from_ns(arrived_ns));
   } else if (cause) {
@@ -272,7 +268,7 @@ util::StatusOr<FlowCapture> read_flow_capture(std::istream& is) {
     std::istringstream hs(line);
     std::string magic;
     std::string flow_field;
-    if (!(hs >> magic >> flow_field) || (magic != kMagicV2 && magic != kMagicV1) ||
+    if (!(hs >> magic >> flow_field) || magic != kMagicV2 ||
         flow_field.rfind("flow=", 0) != 0) {
       return line_error(1, line, "bad trace header");
     }

@@ -7,7 +7,7 @@
 //   '-'                          no fate recorded (in flight at capture end)
 //   <code>[@<component-path>][#<directive>]   a cause-coded drop
 // with code one of
-//   'Q' queue overflow,          'C' channel loss, cause unattributed (v1),
+//   'Q' queue overflow,          'C' channel loss, cause unattributed,
 //   'B' Bernoulli loss,          'g' Gilbert–Elliott loss in GOOD state,
 //   'G' Gilbert–Elliott loss in BAD state,
 //   'R' functional radio loss,   'X' scripted fault,
@@ -21,10 +21,6 @@
 // convention of the paper's Fig. 1). Scripted-fault audit records follow as
 // `F` lines:
 //   F <link-dir> <when_ns> <pkt_id> <seq> <kind> <directive> <action> <delay_ns> <label>
-//
-// Readers also accept v1 archives ("hsrtrace-v1"), whose drop column only
-// distinguished 'Q' (queue) from 'C' (channel): 'C' maps to the
-// kChannelUnattributed legacy category.
 #pragma once
 
 #include <iosfwd>
@@ -38,7 +34,7 @@ namespace hsr::trace {
 
 void write_flow_capture(std::ostream& os, const FlowCapture& capture);
 
-// Parses a capture (v2 or legacy v1). Corrupt records fail with the line
+// Parses an hsrtrace-v2 capture. Corrupt records fail with the line
 // number and the offending token in the Status message. A torn FINAL line
 // (EOF before its newline — the signature of a truncated archive) is
 // tolerated: the partial record is dropped and the capture parsed so far is

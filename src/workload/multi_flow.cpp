@@ -90,21 +90,6 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     // unfair flows is harmless — reserve_for clamps).
     const double share = down_cfg.rate_bps / static_cast<double>(n);
     capture.reserve_for(spec.duration, share, resolved[i].tcp.mss_bytes);
-    // All flows draw packet ids from ONE shared counter, so every flow's
-    // id→index table spans the whole scenario's traffic — data sends plus
-    // ACKs, bounded by 2x the saturated-link segment count — not just this
-    // flow's share. Undershooting here costs resize doublings mid-run,
-    // which the steady-state zero-allocation contract forbids.
-    const double total_segments =
-        spec.duration.to_seconds() * down_cfg.rate_bps /
-        (8.0 * static_cast<double>(resolved[i].tcp.mss_bytes));
-    const double total_ids = total_segments * 2.5;
-    capture.reserve_id_space(std::clamp(
-        total_ids >= static_cast<double>(4 * trace::FlowCapture::kMaxReserveTx)
-            ? 4 * trace::FlowCapture::kMaxReserveTx
-            : static_cast<std::size_t>(total_ids),
-        2 * trace::FlowCapture::kMinReserveTx,
-        4 * trace::FlowCapture::kMaxReserveTx));
 
     // Per-flow access stubs behind the shared queue: each flow's channel
     // pair draws from its own fork of the scenario seed and carries its own
@@ -209,8 +194,6 @@ MultiFlowResult run_multi_flow(const MultiFlowSpec& spec) {
     f.sender_stats = bottleneck.sender(i).stats();
     f.receiver_stats = bottleneck.receiver(i).stats();
     f.events = bottleneck.sender(i).events();
-    f.cwnd_trace = bottleneck.sender(i).cwnd_trace();
-    f.delivery_times = bottleneck.receiver(i).delivery_times();
     f.goodput_pps = bottleneck.goodput_segments_per_s(i);
     f.goodput_bps = bottleneck.goodput_bps(i);
     f.faults_injected = out.captures[i].faults.size();

@@ -57,8 +57,6 @@ struct FlowRunResult {
   tcp::SenderStats sender_stats;
   tcp::ReceiverStats receiver_stats;
   std::vector<tcp::SenderEvent> events;
-  std::vector<std::pair<TimePoint, double>> cwnd_trace;
-  std::vector<TimePoint> delivery_times;
 
   Duration duration;
   double goodput_pps = 0.0;

@@ -74,7 +74,7 @@ TEST(AnalysisAllocTest, SparseSeqSpanCostsMemoryByTransmissionsNotBySpan) {
     p.id = id++;
     p.seq = 1 + kStride * (i % 1000);  // every seq sent twice
     const TimePoint sent = TimePoint::from_ns(t += 1'000'000);
-    cap.data.on_send(p, sent);
+    p.tap_slot = cap.data.on_send(p, sent);
     if (i % 3 != 0) cap.data.on_deliver(p, sent, sent + Duration::millis(20));
   }
   for (std::uint64_t i = 0; i < 1500; ++i) {
@@ -83,7 +83,7 @@ TEST(AnalysisAllocTest, SparseSeqSpanCostsMemoryByTransmissionsNotBySpan) {
     p.kind = net::PacketKind::kAck;
     p.ack_next = i % 2 == 0 ? 1 + kStride * (i % 1000) : ~std::uint64_t{0} - i;
     const TimePoint sent = TimePoint::from_ns(t += 700'000);
-    cap.acks.on_send(p, sent);
+    p.tap_slot = cap.acks.on_send(p, sent);
     if (i % 4 != 0) cap.acks.on_deliver(p, sent, sent + Duration::millis(20));
   }
   const std::uint64_t transmissions = cap.data.sent_count() + cap.acks.sent_count();

@@ -46,14 +46,14 @@ trace::FlowCapture synthetic_capture(net::FlowId flow, unsigned delivered,
   std::uint64_t id = 0;
   for (unsigned i = 0; i < delivered + retx; ++i) {
     net::Packet p;
-    p.id = ++id;  // ids are per-capture join keys; dense from 1
+    p.id = ++id;
     p.flow = flow;
     p.kind = net::PacketKind::kData;
     p.seq = i + 1;
     p.size_bytes = 1400;
     p.is_retransmission = i >= delivered;
     const TimePoint sent = TimePoint::from_seconds(static_cast<double>(i));
-    c.data.on_send(p, sent);
+    p.tap_slot = c.data.on_send(p, sent);
     c.data.on_deliver(p, sent, sent + Duration::millis(50));
   }
   return c;

@@ -428,8 +428,8 @@ FlowCapture random_capture(std::mt19937_64& rng, const CaptureShape& shape) {
     const std::int64_t d = ticks * shape.tick.ns() - (rng() % 3 == 0 ? shape.tick.ns() : 0);
     return unit(rng) < shape.backwards_share ? t - 3 * d : t + d;
   };
-  const auto fate = [&](trace::DirectionCapture& dir, const net::Packet& p, TimePoint sent) {
-    dir.on_send(p, sent);
+  const auto fate = [&](trace::DirectionCapture& dir, net::Packet p, TimePoint sent) {
+    p.tap_slot = dir.on_send(p, sent);
     const double r = unit(rng);
     if (r < 0.7) {
       const std::int64_t transit = static_cast<std::int64_t>(rng() % 8) * shape.tick.ns();

@@ -29,7 +29,7 @@ class CaptureBuilder {
     p.seq = seq;
     p.size_bytes = 1400;
     const TimePoint sent = at(sent_ms);
-    cap_.data.on_send(p, sent);
+    p.tap_slot = cap_.data.on_send(p, sent);
     if (arrived_ms >= 0) {
       cap_.data.on_deliver(p, sent, at(arrived_ms));
     } else {
@@ -46,7 +46,7 @@ class CaptureBuilder {
     p.ack_next = ack_next;
     p.size_bytes = 52;
     const TimePoint sent = at(sent_ms);
-    cap_.acks.on_send(p, sent);
+    p.tap_slot = cap_.acks.on_send(p, sent);
     if (arrived_ms >= 0) {
       cap_.acks.on_deliver(p, sent, at(arrived_ms));
     } else {

@@ -174,7 +174,7 @@ trace::FlowCapture survival_capture() {
   p.kind = net::PacketKind::kData;
   p.seq = 1;
   p.size_bytes = 1400;
-  cap.data.on_send(p, trace::TimePoint::from_ns(1000));
+  p.tap_slot = cap.data.on_send(p, trace::TimePoint::from_ns(1000));
   cap.data.on_deliver(p, trace::TimePoint::from_ns(1000),
                       trace::TimePoint::from_ns(21000));
   return cap;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -25,18 +27,49 @@ class RecordingTap : public LinkTap {
   struct Drop {
     std::uint64_t id;
     DropCause cause;
+    std::uint32_t slot;
   };
-  void on_send(const Packet& p, TimePoint) override { sends.push_back(p.id); }
+  // Hands out distinct tokens that are not record indices, so a test sees
+  // whether each fate report carries back its own send's token.
+  std::uint32_t on_send(const Packet& p, TimePoint) override {
+    sends.push_back(p.id);
+    tokens.push_back(1000 + 7 * static_cast<std::uint32_t>(tokens.size()));
+    return tokens.back();
+  }
   void on_drop(const Packet& p, TimePoint, const DropCause& c) override {
-    drops.push_back({p.id, c});
+    drops.push_back({p.id, c, p.tap_slot});
   }
   void on_deliver(const Packet& p, TimePoint sent, TimePoint arrived) override {
     delivers.push_back(p.id);
+    delivered_slots.push_back(p.tap_slot);
     transits.push_back(arrived - sent);
   }
+  // The token on_send returned for packet `id`.
+  std::uint32_t token_of(std::uint64_t id) const {
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      if (sends[i] == id) return tokens[i];
+    }
+    ADD_FAILURE() << "packet " << id << " was never sent";
+    return 0;
+  }
   std::vector<std::uint64_t> sends, delivers;
+  std::vector<std::uint32_t> tokens, delivered_slots;
   std::vector<Drop> drops;
   std::vector<Duration> transits;
+};
+
+// Plays back one verdict per packet, in send order; delivers plainly after.
+class ScriptedChannel final : public ChannelModel {
+ public:
+  explicit ScriptedChannel(std::vector<ChannelVerdict> verdicts)
+      : verdicts_(std::move(verdicts)) {}
+  ChannelVerdict decide(const Packet&, TimePoint) override {
+    return next_ < verdicts_.size() ? verdicts_[next_++] : ChannelVerdict::deliver();
+  }
+
+ private:
+  std::vector<ChannelVerdict> verdicts_;
+  std::size_t next_ = 0;
 };
 
 TEST(LinkTest, DeliversWithSerializationPlusPropagation) {
@@ -110,6 +143,9 @@ TEST(LinkTest, DropTailOnQueueOverflow) {
   ASSERT_EQ(tap.drops.size(), 2u);
   EXPECT_EQ(tap.drops[0].cause.category, DropCategory::kQueueOverflow);
   EXPECT_TRUE(tap.drops[0].cause.is_queue());
+  for (const auto& drop : tap.drops) EXPECT_EQ(drop.slot, tap.token_of(drop.id));
+  EXPECT_EQ(tap.drops[0].slot, tap.tokens[3]);
+  EXPECT_EQ(tap.drops[1].slot, tap.tokens[4]);
 }
 
 TEST(LinkTest, QueueDrainsOverTime) {
@@ -149,7 +185,73 @@ TEST(LinkTest, ChannelLossCountsAndReportsToTap) {
   ASSERT_EQ(tap.drops.size(), 1u);
   EXPECT_EQ(tap.drops[0].cause.category, DropCategory::kBernoulli);
   EXPECT_TRUE(tap.drops[0].cause.is_channel());
+  EXPECT_EQ(tap.drops[0].slot, tap.token_of(tap.drops[0].id));
   EXPECT_DOUBLE_EQ(link.stats().loss_rate(), 1.0);
+}
+
+TEST(LinkTest, ChannelDropsAmongDeliveriesCarryTheirOwnTokens) {
+  sim::Simulator sim;
+  Link link(sim, LinkConfig{});
+  RecordingTap tap;
+  link.register_endpoint(
+      0,
+      std::make_unique<ScriptedChannel>(std::vector<ChannelVerdict>{
+          ChannelVerdict::deliver(), ChannelVerdict::drop(DropCause::bernoulli()),
+          ChannelVerdict::deliver(), ChannelVerdict::drop(DropCause::scripted(2))}),
+      [](const Packet&) {}, &tap);
+  for (int i = 0; i < 4; ++i) link.send(data_packet());
+  sim.run();
+  ASSERT_EQ(tap.drops.size(), 2u);
+  EXPECT_EQ(tap.drops[0].slot, tap.tokens[1]);
+  EXPECT_EQ(tap.drops[1].slot, tap.tokens[3]);
+  EXPECT_EQ(tap.delivered_slots, (std::vector<std::uint32_t>{tap.tokens[0], tap.tokens[2]}));
+}
+
+TEST(LinkTest, EveryDuplicateCopyCarriesTheSendsToken) {
+  sim::Simulator sim;
+  Link link(sim, LinkConfig{});
+  RecordingTap tap;
+  int received = 0;
+  link.register_endpoint(
+      0,
+      std::make_unique<ScriptedChannel>(std::vector<ChannelVerdict>{
+          ChannelVerdict::deliver(Duration::zero(), /*copies=*/2),
+          ChannelVerdict::deliver(Duration::zero(), /*copies=*/1)}),
+      [&](const Packet&) { ++received; }, &tap);
+  link.send(data_packet());
+  link.send(data_packet());
+  sim.run();
+  EXPECT_EQ(received, 5);
+  ASSERT_EQ(tap.delivers.size(), 5u);
+  for (std::size_t i = 0; i < tap.delivers.size(); ++i) {
+    EXPECT_EQ(tap.delivered_slots[i], tap.token_of(tap.delivers[i])) << "copy " << i;
+  }
+  EXPECT_EQ(std::count(tap.delivered_slots.begin(), tap.delivered_slots.end(), tap.tokens[0]),
+            3);
+  EXPECT_EQ(std::count(tap.delivered_slots.begin(), tap.delivered_slots.end(), tap.tokens[1]),
+            2);
+}
+
+TEST(LinkTest, ReorderedDeliveriesCarryTheirOwnTokens) {
+  // Jitter delays the first two packets past the last two: arrival order
+  // is 3, 4, 2, 1 while each delivery still names its own send.
+  sim::Simulator sim;
+  Link link(sim, LinkConfig{});
+  RecordingTap tap;
+  link.register_endpoint(
+      0,
+      std::make_unique<ScriptedChannel>(std::vector<ChannelVerdict>{
+          ChannelVerdict::deliver(Duration::millis(40)),
+          ChannelVerdict::deliver(Duration::millis(20)), ChannelVerdict::deliver(),
+          ChannelVerdict::deliver()}),
+      [](const Packet&) {}, &tap);
+  for (int i = 0; i < 4; ++i) link.send(data_packet());
+  sim.run();
+  ASSERT_EQ(tap.delivers.size(), 4u);
+  EXPECT_EQ(tap.delivers, (std::vector<std::uint64_t>{tap.sends[2], tap.sends[3],
+                                                      tap.sends[1], tap.sends[0]}));
+  EXPECT_EQ(tap.delivered_slots, (std::vector<std::uint32_t>{tap.tokens[2], tap.tokens[3],
+                                                             tap.tokens[1], tap.tokens[0]}));
 }
 
 TEST(LinkTest, StatsLossRateMixed) {

@@ -33,7 +33,7 @@ FlowCapture make_capture(std::uint64_t index) {
     p.seq = i + 1;
     p.size_bytes = 1400;
     const TimePoint sent = TimePoint::from_ns(static_cast<std::int64_t>(1000 * (i + 1)));
-    cap.data.on_send(p, sent);
+    p.tap_slot = cap.data.on_send(p, sent);
     if (i % 3 != 2) {
       cap.data.on_deliver(p, sent, sent + util::Duration::millis(20));
     } else {

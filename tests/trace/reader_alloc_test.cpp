@@ -14,6 +14,7 @@
 
 #include "radio/profiles.h"
 #include "trace/trace_binary.h"
+#include "trace/trace_io.h"
 #include "workload/scenario.h"
 
 namespace hsr::trace {
@@ -112,6 +113,74 @@ TEST(ReaderAllocTest, HostileRecordCountsAreNamedErrorsNotAllocations) {
         << why << ": " << allocated << " bytes allocated for a " << bytes.size()
         << "-byte input";
   }
+}
+
+// Packet ids are plain data: no reader sizes anything from one. Each
+// hostile id below decodes in memory of the order of the input. A table
+// indexed by id and sized id + 1 would wrap to zero entries (then write out
+// of bounds) for 2^64 - 1, and ask for 8 TiB for 2^40.
+TEST(ReaderAllocTest, HostileTextIdsDecodeInInputSizedMemory) {
+  for (const std::uint64_t id : {~std::uint64_t{0}, std::uint64_t{1} << 40}) {
+    const std::string text = "hsrtrace-v2 flow=1\nD " + std::to_string(id) +
+                             " 1 0 1400 1000 -1 Q 0\nA " + std::to_string(id) +
+                             " 0 2 52 2000 9000 - 0\n";
+    std::istringstream in(text);
+    std::uint64_t allocated = 0;
+    {
+      AllocProbe::Scope scope;
+      const auto capture = read_flow_capture(in);
+      allocated = scope.bytes_delta();
+      ASSERT_TRUE(capture.is_ok()) << capture.status().to_string();
+      ASSERT_EQ(capture.value().data.sent_count(), 1u);
+      EXPECT_EQ(capture.value().data.transmissions()[0].packet.id, id);
+      EXPECT_TRUE(capture.value().data.transmissions()[0].lost());
+      ASSERT_EQ(capture.value().acks.sent_count(), 1u);
+      EXPECT_EQ(capture.value().acks.transmissions()[0].packet.id, id);
+      EXPECT_FALSE(capture.value().acks.transmissions()[0].lost());
+    }
+    EXPECT_LE(allocated, 64 * text.size())
+        << "id " << id << ": " << allocated << " bytes allocated for a " << text.size()
+        << "-byte input";
+  }
+}
+
+TEST(ReaderAllocTest, HostileBinaryIdDecodesInInputSizedMemory) {
+  // The 61-byte hsrtrace-b2 file with a valid CRC that holds one data
+  // transmission whose id column is 2^40, still in flight at capture end.
+  constexpr std::uint64_t kId = std::uint64_t{1} << 40;
+  std::string payload;
+  put_varint(payload, 1);        // flow
+  put_varint(payload, 1);        // data direction: one transmission
+  put_varint(payload, kId << 1); // id delta, zigzag-coded
+  put_varint(payload, 1 << 1);   // seq delta: seq 1
+  put_varint(payload, 0);        // ack_next delta
+  put_varint(payload, 1);        // size run: 1 x 1400 bytes
+  put_varint(payload, 1400);
+  put_varint(payload, 1);        // retx run: 1 x 0
+  put_varint(payload, 0);
+  put_varint(payload, 0);        // send time delta
+  put_varint(payload, 1);        // fate run: 1 x in flight
+  put_varint(payload, 0);
+  put_varint(payload, 0);        // ACK direction: no transmissions
+  put_varint(payload, 0);        // no fault records
+  const std::string bytes = file_with_flow_payload(payload);
+  ASSERT_EQ(bytes.size(), 61u);
+
+  std::istringstream in(bytes);
+  std::uint64_t allocated = 0;
+  {
+    AllocProbe::Scope scope;
+    const auto corpus = read_binary_corpus(in);
+    allocated = scope.bytes_delta();
+    ASSERT_TRUE(corpus.is_ok()) << corpus.status().to_string();
+    ASSERT_EQ(corpus.value().flows.size(), 1u);
+    const auto& txs = corpus.value().flows[0].data.transmissions();
+    ASSERT_EQ(txs.size(), 1u);
+    EXPECT_EQ(txs[0].packet.id, kId);
+    EXPECT_EQ(txs[0].packet.seq, 1u);
+  }
+  EXPECT_LE(allocated, 64 * bytes.size())
+      << allocated << " bytes allocated for a " << bytes.size() << "-byte input";
 }
 
 }  // namespace

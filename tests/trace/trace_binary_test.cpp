@@ -1,8 +1,8 @@
 // hsrtrace-b2: the binary columnar reader must rebuild the exact
 // FlowCapture the text writer serializes (lossless interconversion), keep
 // everything before a torn final frame, refuse corruption with a frame
-// index and a named reason (CRC / sequence / payload), skip unknown frame
-// types, and still read legacy hsrtrace-b1 archives.
+// index and a named reason (CRC / sequence / payload), and skip unknown
+// frame types.
 #include "trace/trace_binary.h"
 
 #include <gtest/gtest.h>
@@ -30,7 +30,7 @@ FlowCapture sample_capture() {
   d1.kind = net::PacketKind::kData;
   d1.seq = 1;
   d1.size_bytes = 1400;
-  cap.data.on_send(d1, TimePoint::from_ns(1000));
+  d1.tap_slot = cap.data.on_send(d1, TimePoint::from_ns(1000));
   cap.data.on_deliver(d1, TimePoint::from_ns(1000), TimePoint::from_ns(31000));
 
   Packet d2 = d1;
@@ -38,7 +38,7 @@ FlowCapture sample_capture() {
   d2.seq = 2;
   d2.retx_count = 1;
   d2.is_retransmission = true;
-  cap.data.on_send(d2, TimePoint::from_ns(2000));
+  d2.tap_slot = cap.data.on_send(d2, TimePoint::from_ns(2000));
   net::DropCause ge_bad = net::DropCause::gilbert_elliott(/*bad_state=*/true);
   ge_bad.prepend_component(1);
   cap.data.on_drop(d2, TimePoint::from_ns(2000), ge_bad);
@@ -46,7 +46,7 @@ FlowCapture sample_capture() {
   Packet d3 = d1;
   d3.id = 4;
   d3.seq = 3;
-  cap.data.on_send(d3, TimePoint::from_ns(40000));  // still in flight
+  d3.tap_slot = cap.data.on_send(d3, TimePoint::from_ns(40000));  // still in flight
 
   Packet a1;
   a1.id = 3;
@@ -54,7 +54,7 @@ FlowCapture sample_capture() {
   a1.kind = net::PacketKind::kAck;
   a1.ack_next = 2;
   a1.size_bytes = 52;
-  cap.acks.on_send(a1, TimePoint::from_ns(35000));
+  a1.tap_slot = cap.acks.on_send(a1, TimePoint::from_ns(35000));
   cap.acks.on_drop(a1, TimePoint::from_ns(35000), net::DropCause::queue_overflow());
 
   FaultRecord f;
@@ -229,31 +229,16 @@ TEST(TraceBinaryTest, OutOfOrderSequenceNumberIsAnError) {
       << corpus.status().to_string();
 }
 
-TEST(TraceBinaryTest, LegacyB1ArchivesRemainReadable) {
-  const FlowCapture cap = sample_capture();
-  std::ostringstream os;
-  write_binary_trace_header(os, 1, /*version=*/1);
-  write_flow_frame(os, cap, /*seq=*/0, /*version=*/1);
-  const std::string bytes = os.str();
-  EXPECT_EQ(bytes.substr(0, kBinaryTraceMagicSize),
-            std::string(kBinaryTraceMagicB1, kBinaryTraceMagicSize));
-
-  std::istringstream in(bytes);
-  BinaryTraceReader reader(in);
-  ASSERT_TRUE(reader.open().is_ok());
-  EXPECT_EQ(reader.version(), 1);
-  FlowCapture flow;
-  QuarantineRecord quarantine;
-  const auto frame = reader.next(&flow, &quarantine);
-  ASSERT_TRUE(frame.is_ok()) << frame.status().to_string();
-  ASSERT_EQ(frame.value(), BinaryTraceReader::Frame::kFlow);
-  EXPECT_EQ(text_of(flow), text_of(cap));
-}
-
 TEST(TraceBinaryTest, BadMagicIsInvalidArgument) {
   std::istringstream in("hsrtrace-XX\n........");
   const auto corpus = read_binary_corpus(in);
   ASSERT_FALSE(corpus.is_ok());
+  // The retired hsrtrace-b1 magic reads as a bad magic too.
+  std::istringstream b1(std::string("hsrtrace-b1\n") + std::string(8, '\0'));
+  const auto legacy = read_binary_corpus(b1);
+  ASSERT_FALSE(legacy.is_ok());
+  EXPECT_NE(legacy.status().message().find("bad magic"), std::string::npos)
+      << legacy.status().to_string();
 }
 
 TEST(TraceBinaryTest, UnknownFrameTypesAreSkipped) {

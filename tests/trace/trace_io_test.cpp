@@ -20,7 +20,7 @@ FlowCapture sample_capture() {
   d1.kind = net::PacketKind::kData;
   d1.seq = 1;
   d1.size_bytes = 1400;
-  cap.data.on_send(d1, TimePoint::from_ns(1000));
+  d1.tap_slot = cap.data.on_send(d1, TimePoint::from_ns(1000));
   cap.data.on_deliver(d1, TimePoint::from_ns(1000), TimePoint::from_ns(31000));
 
   Packet d2 = d1;
@@ -28,7 +28,7 @@ FlowCapture sample_capture() {
   d2.seq = 2;
   d2.retx_count = 1;
   d2.is_retransmission = true;
-  cap.data.on_send(d2, TimePoint::from_ns(2000));
+  d2.tap_slot = cap.data.on_send(d2, TimePoint::from_ns(2000));
   net::DropCause ge_bad = net::DropCause::gilbert_elliott(/*bad_state=*/true);
   ge_bad.prepend_component(1);  // dropped by the second part of a composite channel
   cap.data.on_drop(d2, TimePoint::from_ns(2000), ge_bad);
@@ -39,7 +39,7 @@ FlowCapture sample_capture() {
   a1.kind = net::PacketKind::kAck;
   a1.ack_next = 2;
   a1.size_bytes = 52;
-  cap.acks.on_send(a1, TimePoint::from_ns(35000));
+  a1.tap_slot = cap.acks.on_send(a1, TimePoint::from_ns(35000));
   cap.acks.on_drop(a1, TimePoint::from_ns(35000), net::DropCause::queue_overflow());
   return cap;
 }
@@ -105,7 +105,7 @@ TEST(TraceIoTest, NestedComponentPathRoundTripsDotted) {
   p.kind = net::PacketKind::kData;
   p.seq = 1;
   p.size_bytes = 1400;
-  cap.data.on_send(p, TimePoint::from_ns(500));
+  p.tap_slot = cap.data.on_send(p, TimePoint::from_ns(500));
   // Drop attributed through a depth-2 composite stack: outer index 1,
   // inner index 0 — serialized as the dotted path token "B@1.0".
   net::DropCause nested = net::DropCause::bernoulli();
@@ -148,7 +148,7 @@ TEST(TraceIoTest, ScriptedCauseRoundTripsDirectiveIndex) {
   p.kind = net::PacketKind::kData;
   p.seq = 7;
   p.size_bytes = 1400;
-  cap.data.on_send(p, TimePoint::from_ns(500));
+  p.tap_slot = cap.data.on_send(p, TimePoint::from_ns(500));
   cap.data.on_drop(p, TimePoint::from_ns(500), net::DropCause::scripted(4));
 
   std::stringstream ss;
@@ -162,11 +162,11 @@ TEST(TraceIoTest, ScriptedCauseRoundTripsDirectiveIndex) {
   EXPECT_TRUE(tx.drop_cause->is_scripted());
 }
 
-TEST(TraceIoTest, V1ArchivesStillRead) {
-  // A v1 archive only knew codes '-', 'Q' and 'C'; 'C' decodes into the
-  // legacy unattributed-channel category rather than failing the read.
+TEST(TraceIoTest, UnattributedChannelCodeReads) {
+  // 'C' names a channel loss whose cause was not recorded; it decodes into
+  // the unattributed-channel category rather than failing the read.
   std::stringstream ss(
-      "hsrtrace-v1 flow=3\n"
+      "hsrtrace-v2 flow=3\n"
       "D 1 1 0 1400 1000 -1 C 0\n"
       "A 2 0 2 52 2000 -1 Q 0\n");
   auto loaded = read_flow_capture(ss);
@@ -198,8 +198,16 @@ TEST(TraceIoTest, RejectsBadHeader) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(TraceIoTest, RetiredV1HeaderIsABadHeader) {
+  std::stringstream ss("hsrtrace-v1 flow=1\nD 1 1 0 1400 1000 -1 C 0\n");
+  auto loaded = read_flow_capture(ss);
+  ASSERT_FALSE(loaded.is_ok());
+  EXPECT_NE(loaded.status().message().find("bad trace header"), std::string::npos)
+      << loaded.status().message();
+}
+
 TEST(TraceIoTest, RejectsMalformedLine) {
-  std::stringstream ss("hsrtrace-v1 flow=1\nD garbage\n");
+  std::stringstream ss("hsrtrace-v2 flow=1\nD garbage\n");
   auto loaded = read_flow_capture(ss);
   EXPECT_FALSE(loaded.is_ok());
 }
@@ -298,14 +306,14 @@ TEST(TraceIoTest, BitFlippedFieldReportsLineAndToken) {
 }
 
 TEST(TraceIoTest, UnknownRecordTypeIsAnError) {
-  std::stringstream ss("hsrtrace-v1 flow=1\nZ 1 2 3\n");
+  std::stringstream ss("hsrtrace-v2 flow=1\nZ 1 2 3\n");
   auto loaded = read_flow_capture(ss);
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_NE(loaded.status().message().find("unknown record type"), std::string::npos);
 }
 
 TEST(TraceIoTest, WrongFieldCountNamesTheLine) {
-  std::stringstream ss("hsrtrace-v1 flow=1\nD 1 2 3\n");
+  std::stringstream ss("hsrtrace-v2 flow=1\nD 1 2 3\n");
   auto loaded = read_flow_capture(ss);
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos);
@@ -333,7 +341,7 @@ TEST(TraceIoTest, TruncatedFinalLineIsTolerated) {
 TEST(TraceIoTest, CorruptLineBeforeEofStillFails) {
   // Same corruption NOT on the final line must still be an error: tolerance
   // is for torn tails only, not for silent mid-file damage.
-  std::stringstream ss("hsrtrace-v1 flow=1\nD garbage\nA 3 0 2 52 35000 -1 Q 0\n");
+  std::stringstream ss("hsrtrace-v2 flow=1\nD garbage\nA 3 0 2 52 35000 -1 Q 0\n");
   auto loaded = read_flow_capture(ss);
   EXPECT_FALSE(loaded.is_ok());
 }

@@ -2,15 +2,15 @@
 //
 // Answers the questions the paper's workflow answered with wireshark filters,
 // from a capture file alone (no live simulator state). Trace arguments accept
-// BOTH formats transparently: text archives ("hsrtrace-v2"/"-v1") and binary
-// corpora ("hsrtrace-b2"/"-b1"); multi-flow corpora are addressed with --flow N.
+// BOTH formats transparently: text archives ("hsrtrace-v2") and binary
+// corpora ("hsrtrace-b2"); multi-flow corpora are addressed with --flow N.
 //   summary <trace> [--flow N]   counts, loss rates, fault totals
 //   why <trace> <packet-id> [--flow N]  the fate of one packet, cause-coded
 //   losses <trace> [--flow N]    per-cause loss breakdown, data vs ACK
 //   ratios <trace> [--flow N]    headline ratios: q-hat, ACK-burst-loss
 //                                rounds, spurious fraction
 //   ls <trace>                   one line per flow / quarantine record
-//   verify <trace>               integrity scan: every frame decoded and (b2)
+//   verify <trace>               integrity scan: every frame decoded and
 //                                CRC- and sequence-checked; the first bad
 //                                frame is NAMED and the exit status raised
 //   convert <in> <out> --to-binary|--to-text [--flow N]
@@ -73,7 +73,7 @@ int usage() {
          "  convert <in> <out> --to-binary|--to-text [--flow N]\n"
          "  replay [--down-plan F] [--up-plan F] [--duration S] [--save F]\n"
          "  selftest                    end-to-end smoke test\n"
-         "trace files may be text (hsrtrace-v2/v1) or binary (hsrtrace-b2/b1).\n";
+         "trace files may be text (hsrtrace-v2) or binary (hsrtrace-b2).\n";
   return 2;
 }
 
@@ -541,7 +541,7 @@ int run_selftest() {
     }
   }
 
-  // v2 integrity: flipping one payload byte must be detected, named, and
+  // Frame integrity: flipping one payload byte must be detected, named, and
   // attributed to the right frame — not silently decoded.
   {
     std::string corrupt = bin.str();
@@ -551,26 +551,7 @@ int run_selftest() {
     if (bad.is_ok() ||
         bad.status().message().find("crc32c mismatch") == std::string::npos ||
         bad.status().message().find("frame 0") == std::string::npos) {
-      std::cerr << "selftest: corrupted v2 frame not named\n";
-      return 1;
-    }
-  }
-
-  // Legacy b1 archives must stay readable, losslessly.
-  {
-    std::ostringstream b1;
-    hsr::trace::write_binary_trace_header(b1, 1, 1);
-    hsr::trace::write_flow_frame(b1, cap, 0, 1);
-    std::istringstream b1_in(b1.str());
-    const auto legacy = hsr::trace::read_binary_corpus(b1_in);
-    if (!legacy.is_ok() || legacy.value().flows.size() != 1) {
-      std::cerr << "selftest: hsrtrace-b1 archive no longer readable\n";
-      return 1;
-    }
-    std::ostringstream text_of_b1;
-    hsr::trace::write_flow_capture(text_of_b1, legacy.value().flows[0]);
-    if (text_of_b1.str() != sa.str()) {
-      std::cerr << "selftest: b1 round-trip not byte-identical\n";
+      std::cerr << "selftest: corrupted b2 frame not named\n";
       return 1;
     }
   }
